@@ -172,6 +172,31 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class Module:
+    """A layer whose parameters and state are found by walking its
+    attributes in assignment order (dict attributes in insertion order).
+
+    Every `Tensor` attribute is a parameter, named by its Tensor name; every
+    `Module` attribute is a child whose state `reset` clears.
+    """
+
+    def _attributes(self, kind):
+        for value in vars(self).values():
+            for item in value.values() if isinstance(value, dict) else (value,):
+                if isinstance(item, kind):
+                    yield item
+
+    def named_parameters(self) -> dict[str, Tensor]:
+        return {p.name: p for p in self._attributes(Tensor)}
+
+    def parameters(self) -> list[Tensor]:
+        return list(self.named_parameters().values())
+
+    def reset(self) -> None:
+        for child in self._attributes(Module):
+            child.reset()
+
+
 def _acc(t: "Tensor", g: np.ndarray) -> None:
     """Lazily accumulate a gradient contribution into `t`."""
     t.grad = g if t.grad is None else t.grad + g

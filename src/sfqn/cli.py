@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from .checkpoint import CheckpointFormatError, load_records
 from .config import (ABLATION_MATRIX, ConfigError, ExperimentConfig,
                      load_config)
 from .fuzzy import GAUSSIAN, TRIANGULAR, MembershipBank, membership_eval
-from .qnet import QNetwork
+from .qnet import QNetwork, load_parameters
 from .train import MetricsRow, evaluate, run_training, write_metrics
 
 
@@ -54,7 +55,7 @@ def _train_variant(cfg: ExperimentConfig, variant: str, out_dir: Path,
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.variant:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "variant": args.variant})
+        cfg = dataclasses.replace(cfg, variant=args.variant)
     out_dir = Path(args.out or cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, cfg)
@@ -128,36 +129,21 @@ def cmd_analyze_cost(args) -> int:
     return 0
 
 
-def _banks_from_records(records: dict) -> dict[str, MembershipBank]:
-    """Rebuild membership banks from checkpoint records, keyed by
-    '<modality>.bank<channel>'."""
-    banks: dict[str, MembershipBank] = {}
-    prefixes = sorted({name.rsplit(".", 1)[0] for name in records
-                       if ".bank" in name})
-    for prefix in prefixes:
-        if f"{prefix}.memb_a" in records:
-            a = records[f"{prefix}.memb_a"]
-            b = a + np.exp(records[f"{prefix}.memb_log_ab"])
-            c = b + np.exp(records[f"{prefix}.memb_log_bc"])
-            banks[prefix] = MembershipBank(
-                TRIANGULAR, len(a), np.stack([a, b, c], axis=1))
-        elif f"{prefix}.memb_mean" in records:
-            mean = records[f"{prefix}.memb_mean"]
-            sigma = np.exp(records[f"{prefix}.memb_log_sigma"])
-            banks[prefix] = MembershipBank(
-                GAUSSIAN, len(mean), np.stack([mean, sigma], axis=1))
-    if not banks:
-        raise CheckpointFormatError("checkpoint contains no membership records")
-    return banks
-
-
 def cmd_plot_membership(args) -> int:
     records = load_records(args.checkpoint)
-    banks = _banks_from_records(records)
+    prefixes = sorted({name.rsplit(".", 1)[0] for name in records
+                       if ".bank" in name})
+    if not prefixes:
+        raise CheckpointFormatError("checkpoint contains no membership records")
     samples = np.linspace(0.0, 1.0, args.samples)
     header = ["p"]
     columns = [samples]
-    for prefix, bank in banks.items():
+    for prefix in prefixes:
+        # a bank rebuilt from its records the way QNetwork.load sets them
+        kind, first = ((TRIANGULAR, "memb_a") if f"{prefix}.memb_a" in records
+                       else (GAUSSIAN, "memb_mean"))
+        bank = MembershipBank(kind, len(records[f"{prefix}.{first}"]))
+        load_parameters(bank.named_parameters(), records, f"{prefix}.")
         mu = membership_eval(bank, samples).value      # (N, samples)
         for i in range(bank.n):
             header.append(f"{prefix}.mu_{i + 1}")

@@ -1,13 +1,16 @@
 """Plain-text key=value experiment configuration.
 
 One flat namespace; every key has a default, unknown keys are an error,
-`#` starts a comment.  parse -> serialize -> parse is the identity.
+`#` starts a comment.  parse -> serialize -> parse is the identity.  Apart
+from `variant`, `seeds` and `output_dir`, the keys are the fields of
+`TrainConfig`, `NetworkConfig` and `HighwayConfig` that the experiment does
+not derive itself, and values those configs reject are a `ConfigError`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import field, fields, make_dataclass
 from pathlib import Path
 
 from .fuzzy import GAUSSIAN, TRIANGULAR
@@ -31,105 +34,50 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class ExperimentConfig:
-    # experiment
-    variant: str = "fuzzy"
-    seeds: tuple[int, ...] = (0, 1, 2)
-    output_dir: str = "runs"
-    # training
-    gamma: float = 0.99
-    lr: float = 1e-4
-    batch: int = 64
-    buffer_capacity: int = 50_000
-    target_update_every: int = 200
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    eps_fraction: float = 0.3
-    total_steps: int = 60_000
-    warmup_steps: int = 500
-    train_every: int = 1
-    checkpoint_every: int = 5_000
-    eval_episodes: int = 20
-    # network
-    n_membership: int = 3
-    m_population: int = 5
-    t_steps: int = 5
-    surrogate_alpha: float = 2.0
-    conv_channels: tuple[int, ...] = (8, 16, 16)
-    conv_kernel: int = 3
-    conv_stride: int = 2
-    conv_padding: int = 1
-    c_emb: int = 32
-    n_heads: int = 8
-    d_ff: int = 128
-    fc_hidden: int = 512
-    dec_hidden: int = 64
-    tau_m: float = 2.0
-    theta_pos: float = 1.0
-    theta_neg: float = -4.0
-    # environment
-    lanes: int = 4
-    lane_width: float = 4.0
-    dt: float = 0.25
-    v_min: float = 10.0
-    v_max: float = 30.0
-    dv: float = 2.0
-    ego_speed: float = 20.0
-    n_vehicles: int = 6
-    vehicle_length: float = 5.0
-    lane_change_steps: int = 4
-    horizon: int = 80
-    w_speed: float = 0.4
-    w_crash: float = 1.0
-    grid_size: int = 32
-    resolution: float = 2.0
-    lidar_sectors: int = 32
+# NetworkConfig / TrainConfig fields that the experiment sets itself, per
+# variant and seed; obs_hw comes from the environment's grid_size.
+DERIVED = ("seed", "encoder", "decoder", "membership_kind", "obs_channels",
+           "obs_hw")
+COMPONENTS = (TrainConfig, NetworkConfig, HighwayConfig)
+
+
+def _component_fields(cls):
+    return [f for f in fields(cls) if f.name not in DERIVED]
+
+
+class _Experiment:
+    """Methods of `ExperimentConfig`, whose fields are derived below."""
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; "
                               f"choose from {sorted(VARIANTS)}")
+        try:                     # surface what the components reject
+            self.network_config(0)
+            self.train_config(0)
+            self.env_config()
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
 
     # -- derived configs ----------------------------------------------------
+
+    def _component(self, cls, **derived):
+        return cls(**{f.name: getattr(self, f.name)
+                      for f in _component_fields(cls)}, **derived)
 
     def network_config(self, seed: int,
                        variant: str | None = None) -> NetworkConfig:
         encoder, decoder, kind = VARIANTS[variant or self.variant]
-        return NetworkConfig(
-            encoder=encoder, decoder=decoder, membership_kind=kind,
-            n_membership=self.n_membership, m_population=self.m_population,
-            t_steps=self.t_steps, obs_channels=1,
-            obs_hw=(self.grid_size, self.grid_size),
-            conv_channels=self.conv_channels, conv_kernel=self.conv_kernel,
-            conv_stride=self.conv_stride, conv_padding=self.conv_padding,
-            c_emb=self.c_emb, n_heads=self.n_heads, d_ff=self.d_ff,
-            fc_hidden=self.fc_hidden, dec_hidden=self.dec_hidden,
-            tau_m=self.tau_m, theta_pos=self.theta_pos,
-            theta_neg=self.theta_neg, surrogate_alpha=self.surrogate_alpha,
-            seed=seed)
+        return self._component(
+            NetworkConfig, encoder=encoder, decoder=decoder,
+            membership_kind=kind, obs_channels=1,
+            obs_hw=(self.grid_size, self.grid_size), seed=seed)
 
     def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            gamma=self.gamma, lr=self.lr, batch=self.batch,
-            buffer_capacity=self.buffer_capacity,
-            target_update_every=self.target_update_every,
-            eps_start=self.eps_start, eps_end=self.eps_end,
-            eps_fraction=self.eps_fraction, total_steps=self.total_steps,
-            warmup_steps=self.warmup_steps, train_every=self.train_every,
-            checkpoint_every=self.checkpoint_every,
-            eval_episodes=self.eval_episodes, seed=seed)
+        return self._component(TrainConfig, seed=seed)
 
     def env_config(self) -> HighwayConfig:
-        return HighwayConfig(
-            lanes=self.lanes, lane_width=self.lane_width, dt=self.dt,
-            v_min=self.v_min, v_max=self.v_max, dv=self.dv,
-            ego_speed=self.ego_speed, n_vehicles=self.n_vehicles,
-            vehicle_length=self.vehicle_length,
-            lane_change_steps=self.lane_change_steps, horizon=self.horizon,
-            w_speed=self.w_speed, w_crash=self.w_crash,
-            grid_size=self.grid_size, resolution=self.resolution,
-            lidar_sectors=self.lidar_sectors)
+        return self._component(HighwayConfig)
 
     # -- text format --------------------------------------------------------
 
@@ -144,6 +92,18 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(self.serialize().encode()).hexdigest()
+
+
+# One flat namespace: the experiment's own keys, then every component field
+# that is not derived, with the component's default.
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [("variant", "str", field(default="fuzzy")),
+     ("seeds", "tuple[int, ...]", field(default=(0, 1, 2))),
+     ("output_dir", "str", field(default="runs"))]
+    + [(f.name, f.type, field(default=f.default))
+       for cls in COMPONENTS for f in _component_fields(cls)],
+    bases=(_Experiment,), namespace={"__module__": __name__})
 
 
 def _coerce(field, raw: str):

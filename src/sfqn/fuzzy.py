@@ -34,7 +34,7 @@ def spread_triangles(n: int) -> np.ndarray:
     return np.asarray(abc)
 
 
-class MembershipBank:
+class MembershipBank(ad.Module):
     """N trainable membership functions over [0,1] for one input channel."""
 
     def __init__(self, kind: str = TRIANGULAR, n: int = 3,
@@ -63,11 +63,6 @@ class MembershipBank:
                 raise ValueError("gaussian bank requires sigma > 0")
             self._mean = Tensor(params[:, 0], name="memb_mean")
             self._log_sigma = Tensor(np.log(params[:, 1]), name="memb_log_sigma")
-
-    def parameters(self) -> list[Tensor]:
-        if self.kind == TRIANGULAR:
-            return [self._a, self._log_ab, self._log_bc]
-        return [self._mean, self._log_sigma]
 
     def abc(self) -> tuple[Tensor, Tensor, Tensor]:
         """Reconstructed (a, b, c) tensors; only for triangular banks."""
@@ -156,24 +151,13 @@ def fuzzy_encode(banks: list[MembershipBank], image, t_steps: int,
     return spikes
 
 
-_rate_clamp_count = 0
-
-
-def rate_clamp_warnings() -> int:
-    """Number of out-of-range pixels clamped by `rate_encode` so far."""
-    return _rate_clamp_count
-
-
 def rate_encode(image, t_steps: int, rng: np.random.Generator) -> list[Tensor]:
     """Bernoulli rate coding: spike probability equals the pixel value."""
-    global _rate_clamp_count
     if t_steps <= 0:
         raise ValueError("simulation window must be positive")
     img = np.asarray(image, dtype=np.float64)
-    bad = int(np.sum((img < 0.0) | (img > 1.0)))
-    if bad:
-        _rate_clamp_count += bad
-        img = np.clip(img, 0.0, 1.0)
+    if not np.all((img >= 0.0) & (img <= 1.0)):        # NaN fails both
+        raise ValueError("rate coding requires pixels in [0,1]")
     return [Tensor((rng.random(img.shape) < img).astype(np.float64))
             for _ in range(t_steps)]
 
@@ -182,7 +166,8 @@ def accumulate_population(spikes: list[Tensor], weights: Tensor) -> Tensor:
     """Time-summed weighted spike counts: lambda = sum_t s_t @ W.
 
     `spikes` are T tensors of shape (H_hidden,) or (B, H_hidden); `weights`
-    is (H_hidden, M*|A|).
+    is (H_hidden, M*|A|).  With one column per action this is the
+    weighted-sum ablation decoder, Q(a) = sum_t sum_i w_ia s_it.
     """
     total = spikes[0]
     for s in spikes[1:]:
@@ -197,7 +182,7 @@ def accumulate_population(spikes: list[Tensor], weights: Tensor) -> Tensor:
     return ad.reshape(lam, lam.shape[1:]) if squeeze else lam
 
 
-class NeuralDecoder:
+class NeuralDecoder(ad.Module):
     """Compact ReLU network mapping population activations to Q-values."""
 
     def __init__(self, m: int, n_actions: int, hidden: int = 64,
@@ -213,9 +198,6 @@ class NeuralDecoder:
                                      (hidden, n_actions)), name="dec_w2")
         self.b2 = Tensor(np.zeros(n_actions), name="dec_b2")
 
-    def parameters(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
     def __call__(self, lam: Tensor) -> Tensor:
         squeeze = len(lam.shape) == 1
         if squeeze:
@@ -223,10 +205,6 @@ class NeuralDecoder:
         h = ad.relu(lam @ self.w1 + self.b1)
         q = h @ self.w2 + self.b2
         return ad.reshape(q, q.shape[1:]) if squeeze else q
-
-
-def decode_neural(lam: Tensor, decoder: NeuralDecoder) -> Tensor:
-    return decoder(lam)
 
 
 def centroid_positions(m: int) -> np.ndarray:
@@ -254,8 +232,3 @@ def decode_centroid(lam, positions) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         q = (lam * positions).sum(axis=-1) / mass
     return np.where(mass == 0.0, midpoint, q)
-
-
-def decode_weighted_sum(spikes: list[Tensor], weights: Tensor) -> Tensor:
-    """Ablation decoder: Q(a) = sum_t sum_i w_i s_it, one output per action."""
-    return accumulate_population(spikes, weights)

@@ -20,9 +20,9 @@ from . import autodiff as ad
 from . import fuzzy, snn
 from .autodiff import Tensor
 from .checkpoint import load_records, save_records
+from .highway import ACTION_NAMES
 
-ACTIONS = ("LEFT", "IDLE", "RIGHT", "FASTER", "SLOWER")
-N_ACTIONS = len(ACTIONS)
+N_ACTIONS = len(ACTION_NAMES)
 
 ENCODERS = ("fuzzy", "rate", "none")
 DECODERS = ("neural", "weighted_sum", "none")
@@ -35,8 +35,8 @@ class NetworkConfig:
     membership_kind: str = fuzzy.TRIANGULAR
     n_membership: int = 3            # N functions per input channel
     m_population: int = 5            # M output neurons per action
-    n_actions: int = N_ACTIONS
     t_steps: int = 5
+    surrogate_alpha: float = 2.0
     obs_channels: int = 1
     obs_hw: tuple[int, int] = (32, 32)
     conv_channels: tuple[int, ...] = (8, 16, 16)
@@ -51,7 +51,6 @@ class NetworkConfig:
     tau_m: float = 2.0
     theta_pos: float = 1.0
     theta_neg: float = -4.0
-    surrogate_alpha: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
@@ -83,6 +82,35 @@ class NetworkConfig:
         if h < 1 or w < 1:
             raise ValueError("conv chain collapses the grid below 1x1")
         return h, w
+
+
+SHARED_LAYERS = (snn.ConvLifBlock, snn.Embedding, snn.CrossFusionLayer,
+                 snn.FcLifHead)
+
+
+def _named_parameters(layers) -> dict[str, Tensor]:
+    """'<prefix>.<name>' for each layer's parameters; a bare Tensor in the
+    list is named by its prefix alone."""
+    out: dict[str, Tensor] = {}
+    for prefix, layer in layers:
+        if isinstance(layer, Tensor):
+            out[prefix] = layer
+            continue
+        for name, p in layer.named_parameters().items():
+            out[f"{prefix}.{name}"] = p
+    return out
+
+
+def load_parameters(params: dict[str, Tensor], records: dict,
+                    prefix: str = "") -> None:
+    """Set each parameter from the checkpoint record `prefix + name`."""
+    for name, p in params.items():
+        name = prefix + name
+        if name not in records:
+            raise KeyError(f"checkpoint missing record {name!r}")
+        if records[name].shape != p.value.shape:
+            raise ValueError(f"shape mismatch for {name!r}")
+        p.value = records[name]
 
 
 @dataclass
@@ -136,40 +164,35 @@ class QNetwork:
         self.head = snn.FcLifHead(self.n_tokens * cfg.c_emb, cfg.fc_hidden,
                                   neuron, rng, gain)
 
-        pop_width = (cfg.m_population * cfg.n_actions
-                     if cfg.decoder == "neural" else cfg.n_actions)
+        pop_width = (cfg.m_population * N_ACTIONS
+                     if cfg.decoder == "neural" else N_ACTIONS)
         bound = 1.0 / np.sqrt(cfg.fc_hidden)
         self.w_pop = Tensor(rng.uniform(-bound, bound, (cfg.fc_hidden, pop_width)),
                             name="w_pop")
-        self.decoder = (fuzzy.NeuralDecoder(cfg.m_population, cfg.n_actions,
+        self.decoder = (fuzzy.NeuralDecoder(cfg.m_population, N_ACTIONS,
                                             cfg.dec_hidden, rng)
                         if cfg.decoder == "neural" else None)
+
+        # The one ordered list of layers; parameter names (and so checkpoint
+        # records), resets and the topology signature all come from it.  The
+        # population weights are a bare parameter between head and decoder.
+        self.layers: list[tuple[str, ad.Module | Tensor]] = [
+            (f"{mod}.bank{ci}", bank)
+            for mod, banks in self.banks.items()
+            for ci, bank in enumerate(banks)]
+        for mod in ("m1", "m2"):
+            self.layers += [(f"{mod}.conv{bi}", block)
+                            for bi, block in enumerate(self.convs[mod])]
+            self.layers.append((f"{mod}.emb", self.emb[mod]))
+        self.layers += [("cfl", self.cfl), ("head", self.head),
+                        ("w_pop", self.w_pop)]
+        if self.decoder is not None:
+            self.layers.append(("dec", self.decoder))
 
     # -- parameter plumbing -------------------------------------------------
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for mod, banks in self.banks.items():
-            for ci, bank in enumerate(banks):
-                for p in bank.parameters():
-                    out[f"{mod}.bank{ci}.{p.name}"] = p
-        for mod in ("m1", "m2"):
-            for bi, block in enumerate(self.convs[mod]):
-                out[f"{mod}.conv{bi}.k"] = block.kernels
-                out[f"{mod}.conv{bi}.b"] = block.bias
-            emb = self.emb[mod]
-            out[f"{mod}.emb.w"] = emb.w
-            out[f"{mod}.emb.b"] = emb.b
-            out[f"{mod}.emb.pos"] = emb.pos
-        for p in self.cfl.parameters():
-            out[f"cfl.{p.name}"] = p
-        out["head.w"] = self.head.w
-        out["head.b"] = self.head.b
-        out["w_pop"] = self.w_pop
-        if self.decoder is not None:
-            for p in self.decoder.parameters():
-                out[f"dec.{p.name}"] = p
-        return out
+        return _named_parameters(self.layers)
 
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
@@ -189,16 +212,16 @@ class QNetwork:
         return h.hexdigest()
 
     def topology_signature(self) -> str:
-        """Digest of the shared layer shapes.  Excludes the encoder banks,
-        the decoder/population weights, and the first conv block (whose input
-        width is the encoder's channel expansion)."""
+        """Digest of the shapes of the spiking layers every variant shares:
+        all but the encoder banks, the population weights, the decoder and
+        the first conv blocks (whose input width is the encoder's channel
+        expansion)."""
         h = hashlib.sha256()
-        shared_prefixes = (".conv", ".emb", "cfl.", "head.")
-        for name, p in sorted(self.named_parameters().items()):
-            if ".conv0." in name:
-                continue
-            if any(s in name for s in shared_prefixes):
-                h.update(f"{name}:{p.value.shape}".encode())
+        shared = [(prefix, layer) for prefix, layer in self.layers
+                  if isinstance(layer, SHARED_LAYERS)
+                  and not prefix.endswith(".conv0")]
+        for name, p in sorted(_named_parameters(shared).items()):
+            h.update(f"{name}:{p.value.shape}".encode())
         return h.hexdigest()
 
     def save(self, path) -> None:
@@ -206,23 +229,14 @@ class QNetwork:
                             self.named_parameters().items()})
 
     def load(self, path) -> None:
-        records = load_records(path)
-        for name, p in self.named_parameters().items():
-            if name not in records:
-                raise KeyError(f"checkpoint missing record {name!r}")
-            if records[name].shape != p.value.shape:
-                raise ValueError(f"shape mismatch for {name!r}")
-            p.value = records[name]
+        load_parameters(self.named_parameters(), load_records(path))
 
     # -- forward ------------------------------------------------------------
 
     def reset_state(self) -> None:
-        for mod in ("m1", "m2"):
-            for block in self.convs[mod]:
-                block.reset()
-            self.emb[mod].reset()
-        self.cfl.reset()
-        self.head.reset()
+        for _, layer in self.layers:
+            if isinstance(layer, ad.Module):
+                layer.reset()
 
     def _encode(self, mod: str, image: np.ndarray) -> list[Tensor]:
         cfg = self.cfg
@@ -316,6 +330,6 @@ def count_multiplications(net: QNetwork, obs: dict | None = None) -> dict:
                     "measured": measured_enc},
         "first_conv": {"analytic": analytic_first_conv_mults(cfg),
                        "measured": measured_conv},
-        "decoder_overhead": (cfg.m_population * cfg.n_actions
+        "decoder_overhead": (cfg.m_population * N_ACTIONS
                              if cfg.decoder == "neural" else 0),
     }

@@ -31,7 +31,7 @@ class NeuronSpec:
     alpha: float = 2.0
 
 
-class Neuron:
+class Neuron(ad.Module):
     """One population of neurons sharing a NeuronSpec; owns membrane state."""
 
     def __init__(self, spec: NeuronSpec):
@@ -46,8 +46,9 @@ class Neuron:
         if s.kind == "relu":
             return ad.relu(x)
         v = Tensor(np.zeros(x.shape)) if self.v is None else self.v
-        if v.shape != x.shape:      # batch size changed between invocations
-            v = Tensor(np.zeros(x.shape))
+        if v.shape != x.shape:
+            raise ad.ShapeError(f"input {x.shape} does not match membrane "
+                                f"{v.shape}; reset() between batch sizes")
         v = v + (x - v) * (1.0 / s.tau_m)
         s_pos = ad.surrogate_spike(v, s.theta_pos, s.alpha)
         v = v - s_pos * s.theta_pos
@@ -68,7 +69,7 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int,
     return rng.uniform(-bound, bound, shape)
 
 
-class ConvLifBlock:
+class ConvLifBlock(ad.Module):
     """Conv2d followed by a (binary) LIF population; state persists over T."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int,
@@ -78,15 +79,9 @@ class ConvLifBlock:
         self.padding = padding
         self.kernels = Tensor(_uniform(rng, (c_out, c_in, kernel, kernel),
                                        c_in * kernel * kernel, gain),
-                              name="conv_k")
-        self.bias = Tensor(np.zeros(c_out), name="conv_b")
+                              name="k")
+        self.bias = Tensor(np.zeros(c_out), name="b")
         self.neuron = Neuron(neuron)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.kernels, self.bias]
-
-    def reset(self) -> None:
-        self.neuron.reset()
 
     def step(self, x: Tensor) -> Tensor:
         y = ad.conv2d(x, self.kernels, self.stride, self.padding)
@@ -94,7 +89,7 @@ class ConvLifBlock:
         return self.neuron.step(y + b)
 
 
-class Embedding:
+class Embedding(ad.Module):
     """Project per-location feature vectors to tokens, add learnable
     positional encoding to the pre-threshold current, then spike."""
 
@@ -103,16 +98,10 @@ class Embedding:
                  gain: float = 1.0):
         self.c_in = c_in
         self.n_tokens = n_tokens
-        self.w = Tensor(_uniform(rng, (c_in, c_emb), c_in, gain), name="emb_w")
-        self.b = Tensor(np.zeros(c_emb), name="emb_b")
-        self.pos = Tensor(_uniform(rng, (n_tokens, c_emb), c_emb), name="emb_pos")
+        self.w = Tensor(_uniform(rng, (c_in, c_emb), c_in, gain), name="w")
+        self.b = Tensor(np.zeros(c_emb), name="b")
+        self.pos = Tensor(_uniform(rng, (n_tokens, c_emb), c_emb), name="pos")
         self.neuron = Neuron(neuron)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.w, self.b, self.pos]
-
-    def reset(self) -> None:
-        self.neuron.reset()
 
     def step(self, x: Tensor) -> Tensor:
         """(B,c,h,w) feature spikes -> (B, h*w, c_emb) token spikes."""
@@ -136,25 +125,15 @@ def ternary_scores_addonly(q: np.ndarray, k: np.ndarray):
     for arr in (q, k):
         if not np.all(np.isin(arr, (-1.0, 0.0, 1.0))):
             raise ValueError("ternary score path requires entries in {-1,0,1}")
-    n, d = q.shape
-    m = k.shape[0]
-    scores = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0
-            for t in range(d):
-                qe, ke = q[i, t], k[j, t]
-                if qe == 0.0 or ke == 0.0:
-                    continue
-                if qe == ke:
-                    acc += 1
-                else:
-                    acc -= 1
-            scores[i, j] = acc
-    return scores, 0
+    # score = #(matching nonzero signs) - #(opposite signs), per (i, j)
+    qe, ke = q[:, None, :], k[None, :, :]
+    nonzero = qe != 0.0
+    same = np.sum((qe == ke) & nonzero, axis=-1)
+    opposite = np.sum((qe == -ke) & nonzero, axis=-1)
+    return (same - opposite).astype(np.float64), 0
 
 
-class CrossFusionLayer:
+class CrossFusionLayer(ad.Module):
     """Bidirectional spiking cross-attention between two token streams.
 
     Q and K come from ternary LIF projections so raw scores are integer
@@ -195,17 +174,8 @@ class CrossFusionLayer:
         self.out_neuron = Neuron(neuron)
         self.last_qk: dict[str, np.ndarray] = {}
 
-    def parameters(self) -> list[Tensor]:
-        return (list(self.proj.values())
-                + [self.w_out, self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b,
-                   self.ff_w1, self.ff_b1, self.ff_w2, self.ff_b2])
-
     def reset(self) -> None:
-        for n in self.qk_neurons.values():
-            n.reset()
-        self.att_neuron.reset()
-        self.ff_hidden_neuron.reset()
-        self.out_neuron.reset()
+        super().reset()
         self.last_qk = {}
 
     def _split_heads(self, x: Tensor) -> Tensor:
@@ -241,21 +211,15 @@ class CrossFusionLayer:
                                                  self.ln2_g, self.ln2_b))
 
 
-class FcLifHead:
+class FcLifHead(ad.Module):
     """Fully connected hidden layer of spiking neurons feeding the
     population output; emits the hidden spike vector per step."""
 
     def __init__(self, d_in: int, hidden: int, neuron: NeuronSpec,
                  rng: np.random.Generator, gain: float = 1.0):
-        self.w = Tensor(_uniform(rng, (d_in, hidden), d_in, gain), name="head_w")
-        self.b = Tensor(np.zeros(hidden), name="head_b")
+        self.w = Tensor(_uniform(rng, (d_in, hidden), d_in, gain), name="w")
+        self.b = Tensor(np.zeros(hidden), name="b")
         self.neuron = Neuron(neuron)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.w, self.b]
-
-    def reset(self) -> None:
-        self.neuron.reset()
 
     def step(self, fused: Tensor) -> Tensor:
         """(B, n, c) fused tokens -> (B, hidden) spikes."""

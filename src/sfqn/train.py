@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .highway import HighwayConfig, HighwayEnv
-from .qnet import QNetwork
+from .qnet import N_ACTIONS, QNetwork
 
 
 @dataclass
@@ -28,7 +28,7 @@ class Transition:
     terminal: bool
 
     def __post_init__(self):
-        if not 0 <= self.action < 5:
+        if not 0 <= self.action < N_ACTIONS:
             raise ValueError(f"action {self.action} out of range")
         if not np.isfinite(self.reward):
             raise ValueError("non-finite reward")
@@ -158,7 +158,7 @@ def select_action(net: QNetwork, obs: dict, eps: float,
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0,1]")
     if rng.random() < eps:
-        return int(rng.integers(net.cfg.n_actions))
+        return int(rng.integers(N_ACTIONS))
     return int(np.argmax(net.q_values(obs).q))
 
 

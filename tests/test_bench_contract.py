@@ -1,0 +1,44 @@
+"""The benchmark harness under perfbench/ reaches into sfqn by name: it wraps
+layer callables while tracing and counts per-layer operations on a probe
+forward.  These tests fail when a change to sfqn removes or renames
+something the harness relies on."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import counts  # noqa: E402
+import spans  # noqa: E402
+import workloads  # noqa: E402
+from sfqn.config import ABLATION_MATRIX, parse_config  # noqa: E402
+from sfqn.qnet import QNetwork  # noqa: E402
+
+TINY = parse_config("grid_size = 8\nconv_channels = 2,4\nc_emb = 8\n"
+                    "n_heads = 2\nd_ff = 16\nfc_hidden = 16\ndec_hidden = 8\n"
+                    "t_steps = 2\n")
+
+
+@pytest.mark.parametrize("variant", ABLATION_MATRIX)
+def test_traced_callables_exist(variant):
+    net = QNetwork(TINY.network_config(0, variant))
+    targets = list(spans.traced_callables([net]))
+    assert len(targets) > len(spans.AUTODIFF_OPS) + len(spans.POPULATIONS)
+    for owner, attr, span in targets:
+        assert callable(getattr(owner, attr, None)), span
+
+
+@pytest.mark.parametrize("variant", ABLATION_MATRIX)
+def test_probe_counts_without_failures(variant):
+    net = QNetwork(TINY.network_config(0, variant))
+    rng = np.random.default_rng(0)
+    bev, lidar = rng.random((2, 3, 1, 8, 8))
+    tally = workloads.Tally()
+    out = counts.probe(net, bev, lidar, tally)
+    assert tally.failed == 0, tally.errors
+    assert tally.attempted > 0
+    assert set(out) == set(counts.metric_names())
+    assert out["autodiff.mults"] > 0

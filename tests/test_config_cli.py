@@ -1,13 +1,15 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from sfqn.cli import main
-from sfqn.config import (ABLATION_MATRIX, VARIANTS, ConfigError,
-                         ExperimentConfig, parse_config)
+from sfqn.config import (ABLATION_MATRIX, COMPONENTS, DERIVED, VARIANTS,
+                         ConfigError, ExperimentConfig, parse_config)
 from sfqn.fuzzy import GAUSSIAN, TRIANGULAR, MembershipBank, membership_eval
+from sfqn.qnet import QNetwork
 
 SMOKE = """
 variant = fuzzy
@@ -33,6 +35,59 @@ t_steps = 3
 """
 
 
+# The default configuration as written before the two spawn keys existed.
+DEFAULTS_WITHOUT_SPAWN = """\
+variant = fuzzy
+seeds = 0,1,2
+output_dir = runs
+gamma = 0.99
+lr = 0.0001
+batch = 64
+buffer_capacity = 50000
+target_update_every = 200
+eps_start = 1.0
+eps_end = 0.05
+eps_fraction = 0.3
+total_steps = 60000
+warmup_steps = 500
+train_every = 1
+checkpoint_every = 5000
+eval_episodes = 20
+n_membership = 3
+m_population = 5
+t_steps = 5
+surrogate_alpha = 2.0
+conv_channels = 8,16,16
+conv_kernel = 3
+conv_stride = 2
+conv_padding = 1
+c_emb = 32
+n_heads = 8
+d_ff = 128
+fc_hidden = 512
+dec_hidden = 64
+tau_m = 2.0
+theta_pos = 1.0
+theta_neg = -4.0
+lanes = 4
+lane_width = 4.0
+dt = 0.25
+v_min = 10.0
+v_max = 30.0
+dv = 2.0
+ego_speed = 20.0
+n_vehicles = 6
+vehicle_length = 5.0
+lane_change_steps = 4
+horizon = 80
+w_speed = 0.4
+w_crash = 1.0
+grid_size = 32
+resolution = 2.0
+lidar_sectors = 32
+"""
+
+
 def smoke_cfg_file(tmp_path, extra=""):
     path = tmp_path / "smoke.cfg"
     path.write_text(SMOKE + extra)
@@ -51,6 +106,39 @@ def test_config_round_trip_identity():
 def test_config_defaults_round_trip():
     cfg = ExperimentConfig()
     assert parse_config(cfg.serialize()) == cfg
+
+
+def test_config_older_text_parses_to_same_values():
+    cfg = parse_config(DEFAULTS_WITHOUT_SPAWN)
+    assert cfg == ExperimentConfig()
+    assert cfg.serialize() == ("# sfqn experiment configuration\n"
+                               + DEFAULTS_WITHOUT_SPAWN
+                               + "spawn_range = 100.0\nspawn_min_gap = 12.0\n")
+
+
+def test_config_keys_come_from_components_once():
+    declared = [f.name for cls in COMPONENTS for f in fields(cls)
+                if f.name not in DERIVED]
+    assert len(declared) == len(set(declared))     # no key in two components
+    keys = [f.name for f in fields(ExperimentConfig)]
+    assert keys == ["variant", "seeds", "output_dir"] + declared
+
+
+def test_config_component_values_reach_components():
+    cfg = parse_config("spawn_range = 10\nspawn_min_gap = 3\ngamma = 0.5\n"
+                       "tau_m = 3.0\n")
+    assert cfg.env_config().spawn_range == 10.0
+    assert cfg.env_config().spawn_min_gap == 3.0
+    assert cfg.train_config(4).gamma == 0.5
+    assert cfg.train_config(4).seed == 4
+    net = cfg.network_config(7, "rate")
+    assert (net.tau_m, net.seed, net.encoder) == (3.0, 7, "rate")
+    assert net.obs_hw == (cfg.grid_size, cfg.grid_size)
+
+
+def test_config_component_rejection_is_config_error():
+    with pytest.raises(ConfigError, match="gamma"):
+        parse_config("gamma = 1.5\n")
 
 
 def test_config_unknown_key_reports_line():
@@ -199,6 +287,39 @@ def test_cli_plot_membership_initial_triangles(tmp_path):
         idx = int(np.argmax(curves[i]))
         assert abs(p[idx] - b) < 0.05
         assert curves[i, idx] > 0.95
+
+
+def test_cli_plot_membership_gaussian_checkpoint(tmp_path):
+    cfg = parse_config(SMOKE)
+    net = QNetwork(cfg.network_config(0, "gaussian"))
+    params = net.banks["m2"][0].named_parameters()
+    params["memb_mean"].value = np.array([0.1, 0.45, 0.9])
+    params["memb_log_sigma"].value = np.log([0.05, 0.2, 0.1])
+    ckpt = tmp_path / "gaussian.sfqn"
+    net.save(ckpt)
+    csv_path = tmp_path / "curves.csv"
+    assert main(["plot-membership", "--checkpoint", str(ckpt),
+                 "--out", str(csv_path), "--samples", "51"]) == 0
+    rows = list(csv.DictReader(csv_path.open()))
+    p = np.array([float(r["p"]) for r in rows])
+    for mod in ("m1", "m2"):
+        cols = [f"{mod}.bank0.mu_{i}" for i in (1, 2, 3)]
+        curves = np.array([[float(r[c]) for c in cols] for r in rows]).T
+        expect = membership_eval(net.banks[mod][0], p).value
+        assert np.allclose(curves, expect, atol=1e-5)    # float32 records
+    assert abs(p[int(np.argmax(curves[2]))] - 0.9) < 0.02
+
+
+def test_cli_train_variant_override(tmp_path):
+    cfg_path = smoke_cfg_file(tmp_path, "total_steps = 30\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--variant",
+                 "nonspiking", "--out", str(out), "--quiet"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["variant"] == "nonspiking"
+    written = parse_config((out / "config.cfg").read_text())
+    assert written.variant == "nonspiking" and written.total_steps == 30
+    assert (out / "nonspiking_seed0_step30.sfqn").exists()
 
 
 def test_cli_errors_exit_nonzero(tmp_path, capsys):

@@ -7,8 +7,8 @@ from sfqn import autodiff as ad
 from sfqn import fuzzy
 from sfqn.autodiff import Tensor
 from sfqn.fuzzy import (MembershipBank, NeuralDecoder, accumulate_population,
-                        centroid_positions, decode_centroid, decode_neural,
-                        decode_weighted_sum, fuzzy_encode, if_spike_train,
+                        centroid_positions, decode_centroid, fuzzy_encode,
+                        if_spike_train,
                         membership_eval, rate_encode, spread_triangles)
 
 WORKED_BANK = np.array([(0.0, 0.2, 0.4), (0.3, 0.5, 0.7), (0.6, 0.8, 1.0)])
@@ -170,9 +170,10 @@ def test_rate_encode_extremes_and_concentration():
 
 
 def test_rate_encode_clamp_warning_counter():
-    before = fuzzy.rate_clamp_warnings()
-    rate_encode(np.array([[[1.5, -0.5]]]), 3, np.random.default_rng(0))
-    assert fuzzy.rate_clamp_warnings() == before + 2
+    # out-of-range or NaN pixels are rejected, never silently clamped
+    for bad in (1.5, -0.5, np.nan):
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            rate_encode(np.array([[[0.5, bad]]]), 3, np.random.default_rng(0))
 
 
 def test_accumulate_population_hand_sum():
@@ -200,7 +201,7 @@ def test_accumulate_population_shape_mismatch():
 
 def test_decode_neural_zero_input_zero_bias():
     dec = NeuralDecoder(m=5, n_actions=5)
-    q = decode_neural(Tensor(np.zeros(25)), dec)
+    q = dec(Tensor(np.zeros(25)))
     assert np.all(q.value == 0.0)
 
 
@@ -219,7 +220,7 @@ def test_decode_neural_identity_construction():
     dec.b2.value[:] = 0.0
 
     lam = np.random.default_rng(1).standard_normal(m * a)
-    q = decode_neural(Tensor(lam), dec)
+    q = dec(Tensor(lam))
     assert np.allclose(q.value, lam.reshape(a, m).mean(axis=1))
 
 
@@ -284,10 +285,12 @@ def test_decode_weighted_sum_equals_accumulate_m1():
     rng = np.random.default_rng(2)
     spikes = [Tensor((rng.random(8) < 0.4).astype(float)) for _ in range(5)]
     w = Tensor(rng.standard_normal((8, 5)))
-    assert np.array_equal(decode_weighted_sum(spikes, w).value,
-                          accumulate_population(spikes, w).value)
+    # the weighted-sum decoder is accumulate_population with one column per
+    # action: the time-summed spikes times the weights
+    assert np.array_equal(accumulate_population(spikes, w).value,
+                          sum(s.value for s in spikes) @ w.value)
     # hand case reproduces the accumulate example
-    hand = decode_weighted_sum(
+    hand = accumulate_population(
         [Tensor(np.array([1.0, 1.0])), Tensor(np.array([0.0, 1.0])),
          Tensor(np.array([1.0, 0.0]))],
         Tensor(np.array([[0.5], [-0.25]])))

@@ -48,9 +48,9 @@ def test_forward_deterministic(enc, dec):
     a = net.q_values(obs)
     b = net.q_values(obs)
     assert np.array_equal(a.q, b.q)
-    assert a.q.shape == (cfg.n_actions,)
+    assert a.q.shape == (qnet.N_ACTIONS,)
     if dec == "neural":
-        assert a.lam.shape == (cfg.m_population * cfg.n_actions,)
+        assert a.lam.shape == (cfg.m_population * qnet.N_ACTIONS,)
 
 
 def test_zero_obs_zero_final_layers_q_equals_decoder_bias():
@@ -118,6 +118,39 @@ def test_save_load_roundtrip_digest(tmp_path):
     assert np.array_equal(net.q_values(obs).q, other.q_values(obs).q)
 
 
+def test_layer_list_names_checkpoint_records():
+    net = QNetwork(tiny_cfg())
+    assert [prefix for prefix, _ in net.layers] == [
+        "m1.bank0", "m2.bank0", "m1.conv0", "m1.conv1", "m1.emb", "m2.conv0",
+        "m2.conv1", "m2.emb", "cfl", "head", "w_pop", "dec"]
+    cfl = ("q1", "k2", "v2", "q2", "k1", "v1", "wo", "ln1_g", "ln1_b",
+           "ln2_g", "ln2_b", "ff_w1", "ff_b1", "ff_w2", "ff_b2")
+    expected = [f"{m}.bank0.memb_{n}" for m in ("m1", "m2")
+                for n in ("a", "log_ab", "log_bc")]
+    for m in ("m1", "m2"):
+        expected += [f"{m}.conv{i}.{n}" for i in (0, 1) for n in ("k", "b")]
+        expected += [f"{m}.emb.{n}" for n in ("w", "b", "pos")]
+    expected += [f"cfl.cfl_{n}" for n in cfl]
+    expected += ["head.w", "head.b", "w_pop"]
+    expected += [f"dec.dec_{n}" for n in ("w1", "b1", "w2", "b2")]
+    assert list(net.named_parameters()) == expected
+    assert net.parameters() == list(net.named_parameters().values())
+
+
+def test_reset_state_clears_every_neuron():
+    net = QNetwork(tiny_cfg())
+    cfg = net.cfg
+    h, w = cfg.obs_hw
+    net.forward(np.full((2, 1, h, w), 0.9), np.full((2, 1, h, w), 0.9))
+    neurons = [blk.neuron for m in ("m1", "m2") for blk in net.convs[m]]
+    neurons += [net.emb[m].neuron for m in ("m1", "m2")] + [net.head.neuron]
+    neurons += list(net.cfl.qk_neurons.values()) + [
+        net.cfl.att_neuron, net.cfl.ff_hidden_neuron, net.cfl.out_neuron]
+    assert all(n.v is not None for n in neurons)
+    net.reset_state()
+    assert all(n.v is None for n in neurons)
+
+
 def test_copy_parameters_and_digest():
     net = QNetwork(tiny_cfg(seed=0))
     tgt = QNetwork(tiny_cfg(seed=1))
@@ -159,12 +192,12 @@ def test_count_multiplications_analytic_equals_measured(overrides):
     if cfg.encoder == "rate":
         assert counts["encoder"]["analytic"] == 0
     if cfg.decoder == "neural":
-        assert counts["decoder_overhead"] == cfg.m_population * cfg.n_actions
+        assert counts["decoder_overhead"] == cfg.m_population * qnet.N_ACTIONS
 
 
 def test_default_population_width_is_25():
     cfg = NetworkConfig()
-    assert cfg.m_population * cfg.n_actions == 25
+    assert cfg.m_population * qnet.N_ACTIONS == 25
 
 
 # ---------------------------------------------------------------------------

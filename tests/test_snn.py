@@ -43,6 +43,28 @@ def test_lif_subthreshold_accumulation():
     assert n.v.value[0] < 1.0
 
 
+def test_lif_batch_change_without_reset_raises():
+    n = Neuron(BIN)
+    n.step(Tensor(np.ones((2, 3))))
+    with pytest.raises(ad.ShapeError, match="reset"):
+        n.step(Tensor(np.ones((1, 3))))
+    n.reset()
+    assert n.step(Tensor(np.ones((1, 3)))).shape == (1, 3)
+
+
+def test_cross_fusion_reset_clears_every_neuron():
+    rng = np.random.default_rng(0)
+    cfl = CrossFusionLayer(8, 2, 16, BIN, theta_neg=-4.0, rng=rng)
+    e = Tensor(np.ones((1, 4, 8)))
+    cfl.step(e, e)
+    neurons = list(cfl.qk_neurons.values()) + [
+        cfl.att_neuron, cfl.ff_hidden_neuron, cfl.out_neuron]
+    assert all(n.v is not None for n in neurons)
+    cfl.reset()
+    assert all(n.v is None for n in neurons)
+    assert cfl.last_qk == {}
+
+
 def test_relu_mode_is_stateless():
     n = Neuron(NeuronSpec(kind="relu"))
     out = n.step(Tensor(np.array([-1.0, 0.5])))

@@ -3,7 +3,7 @@ import pytest
 
 from sfqn.autodiff import Tensor
 from sfqn.highway import FASTER, HighwayConfig, HighwayEnv
-from sfqn.qnet import NetworkConfig, QNetwork
+from sfqn.qnet import N_ACTIONS, NetworkConfig, QNetwork
 from sfqn.train import (Adam, MetricsRow, ReplayBuffer, TrainConfig,
                         Transition, bellman_target, evaluate_policy,
                         run_training, select_action, train_step,
@@ -47,6 +47,14 @@ def test_transition_validation():
         Transition(obs, 7, 0.0, obs, False)
     with pytest.raises(ValueError):
         Transition(obs, 1, float("nan"), obs, False)
+
+
+def test_transition_action_bound_is_n_actions():
+    obs = rand_obs()
+    Transition(obs, N_ACTIONS - 1, 0.0, obs, False)
+    for action in (-1, N_ACTIONS):
+        with pytest.raises(ValueError):
+            Transition(obs, action, 0.0, obs, False)
 
 
 def test_replay_buffer_ring_eviction():
