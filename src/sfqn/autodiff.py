@@ -3,8 +3,12 @@
 Values are numpy float64 arrays of rank <= 4.  Each `Tensor` records its
 parents and a backward closure; `Tensor.backward()` walks the graph once in
 reverse topological order and accumulates gradients (shared subexpressions
-sum).  Spike nonlinearities get a hard forward (Heaviside) with an arctangent
-surrogate derivative attached.
+sum).  Inside `no_grad()` ops record no parents or closures, so inference
+forwards build no graph.  Spike nonlinearities get a hard forward
+(Heaviside) with an arctangent surrogate derivative that is computed only
+when backward runs.  `spike_recurrence` runs a whole (L)IF membrane
+recurrence over T steps as one node, with backpropagation through time in
+its backward.
 
 A process-global multiplication counter can be armed with `count_mults()`;
 the dense kernels (matmul, conv2d, triangular membership eval) report the
@@ -75,6 +79,43 @@ def _as_array(value) -> np.ndarray:
     return arr
 
 
+class _Flags:
+    """Process-wide switches set by the `soft_spike_forward` and `no_grad`
+    context managers."""
+    soft_spike = False
+    grad = True
+
+
+class _set_flag:
+    """Context manager: set one `_Flags` switch for the duration of a block
+    and restore its previous value on exit, also after an exception."""
+
+    def __init__(self, name: str, value: bool):
+        self.name, self.value = name, value
+
+    def __enter__(self):
+        self._prev = getattr(_Flags, self.name)
+        setattr(_Flags, self.name, self.value)
+        return self
+
+    def __exit__(self, *exc):
+        setattr(_Flags, self.name, self._prev)
+        return False
+
+
+def no_grad() -> _set_flag:
+    """Ops inside the block record no parents or backward closures, so the
+    outputs are plain values and no graph is kept alive."""
+    return _set_flag("grad", False)
+
+
+def soft_spike_forward() -> _set_flag:
+    """Spike ops forward the smooth surrogate instead of the hard Heaviside,
+    so finite differences agree with the surrogate backward.  Used only by
+    gradient checks."""
+    return _set_flag("soft_spike", True)
+
+
 class Tensor:
     """Node in the autodiff graph: a value plus a backward rule."""
 
@@ -85,8 +126,12 @@ class Tensor:
                  name: str | None = None):
         self.value = _as_array(value)
         self.grad: np.ndarray | None = None
-        self.parents = tuple(parents)
-        self._backward = backward
+        if _Flags.grad:
+            self.parents = tuple(parents)
+            self._backward = backward
+        else:
+            self.parents = ()
+            self._backward = None
         self.name = name
 
     @property
@@ -173,28 +218,19 @@ def as_tensor(x) -> Tensor:
 
 
 class Module:
-    """A layer whose parameters and state are found by walking its
-    attributes in assignment order (dict attributes in insertion order).
-
-    Every `Tensor` attribute is a parameter, named by its Tensor name; every
-    `Module` attribute is a child whose state `reset` clears.
+    """A layer whose parameters are found by walking its attributes in
+    assignment order (dict attributes in insertion order): every `Tensor`
+    attribute is a parameter, named by its Tensor name.
     """
 
-    def _attributes(self, kind):
-        for value in vars(self).values():
-            for item in value.values() if isinstance(value, dict) else (value,):
-                if isinstance(item, kind):
-                    yield item
-
     def named_parameters(self) -> dict[str, Tensor]:
-        return {p.name: p for p in self._attributes(Tensor)}
+        return {item.name: item for value in vars(self).values()
+                for item in (value.values() if isinstance(value, dict)
+                             else (value,))
+                if isinstance(item, Tensor)}
 
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
-
-    def reset(self) -> None:
-        for child in self._attributes(Module):
-            child.reset()
 
 
 def _acc(t: "Tensor", g: np.ndarray) -> None:
@@ -474,39 +510,18 @@ def arctan_surrogate(u: np.ndarray, alpha: float) -> np.ndarray:
     return np.arctan(math.pi * alpha * u / 2.0) / math.pi + 0.5
 
 
-_SOFT_SPIKE = False
-
-
-class soft_spike_forward:
-    """Context manager: spike ops forward the smooth surrogate instead of the
-    hard Heaviside, so finite differences agree with the surrogate backward.
-    Used only by gradient checks."""
-
-    def __enter__(self):
-        global _SOFT_SPIKE
-        self._prev = _SOFT_SPIKE
-        _SOFT_SPIKE = True
-        return self
-
-    def __exit__(self, *exc):
-        global _SOFT_SPIKE
-        _SOFT_SPIKE = self._prev
-        return False
-
-
 def surrogate_spike(u, threshold: float = 1.0, alpha: float = 2.0) -> Tensor:
     """Heaviside(u - threshold) forward (>= fires), arctangent surrogate backward."""
     if alpha <= 0:
         raise ValueError("surrogate alpha must be positive")
     u = as_tensor(u)
-    if _SOFT_SPIKE:
+    if _Flags.soft_spike:
         out_val = arctan_surrogate(u.value - threshold, alpha)
     else:
         out_val = (u.value >= threshold).astype(np.float64)
-    sg = arctan_surrogate_grad(u.value - threshold, alpha)
 
     def backward(g):
-        _acc(u, g * sg)
+        _acc(u, g * arctan_surrogate_grad(u.value - threshold, alpha))
 
     return Tensor(out_val, (u,), backward)
 
@@ -516,16 +531,79 @@ def surrogate_spike_below(u, threshold: float, alpha: float = 2.0) -> Tensor:
     if alpha <= 0:
         raise ValueError("surrogate alpha must be positive")
     u = as_tensor(u)
-    if _SOFT_SPIKE:
+    if _Flags.soft_spike:
         out_val = arctan_surrogate(threshold - u.value, alpha)
     else:
         out_val = (u.value <= threshold).astype(np.float64)
-    sg = arctan_surrogate_grad(threshold - u.value, alpha)
 
     def backward(g):
-        _acc(u, -g * sg)
+        _acc(u, -g * arctan_surrogate_grad(threshold - u.value, alpha))
 
     return Tensor(out_val, (u,), backward)
+
+
+def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
+                     theta_neg: float | None = None, tau: float | None = None,
+                     alpha: float = 2.0) -> Tensor:
+    """Spikes of one neuron population driven for `t_steps` steps.
+
+    `x` holds the input current of every step, T-major: row t*B + b is step
+    t of sample b.  The membrane starts at 0 and, per step,
+    v <- v + (x_t - v)/tau (LIF), or v <- v + x_t with `tau=None` (IF);
+    a spike fires at v >= theta_pos and subtracts theta_pos.  With
+    `theta_neg`, the reset membrane then emits -1 at v <= theta_neg and
+    subtracts theta_neg.  This is the per-step graph of `surrogate_spike`
+    and `surrogate_spike_below` fused into one node: forward keeps only the
+    pre-threshold membranes, and backward runs backpropagation through time
+    with the arctangent surrogate derivative, reset path included.
+    """
+    if alpha <= 0:
+        raise ValueError("surrogate alpha must be positive")
+    x = as_tensor(x)
+    if t_steps < 1 or not x.shape or x.shape[0] % t_steps:
+        raise ShapeError(f"leading axis of {x.shape} is not a multiple of "
+                         f"{t_steps} steps")
+    xs = x.value.reshape((t_steps, -1) + x.shape[1:])
+    decay = None if tau is None else 1.0 / tau
+    soft = _Flags.soft_spike
+    pre_pos = np.empty_like(xs)         # membrane before each threshold test
+    pre_neg = np.empty_like(xs) if theta_neg is not None else None
+    spikes = []
+    v = np.zeros(xs.shape[1:])
+    for t, x_t in enumerate(xs):
+        v = np.add(v, x_t if decay is None else (x_t - v) * decay,
+                   out=pre_pos[t])
+        s = (arctan_surrogate(v - theta_pos, alpha) if soft
+             else (v >= theta_pos).astype(np.float64))
+        v = v - s * theta_pos
+        if theta_neg is not None:
+            pre_neg[t] = v
+            s_neg = (arctan_surrogate(theta_neg - v, alpha) if soft
+                     else (v <= theta_neg).astype(np.float64))
+            v = v - s_neg * theta_neg
+            s = s - s_neg
+        spikes.append(s)
+
+    def backward(g):
+        g = g.reshape(xs.shape)
+        dx = np.empty_like(xs)
+        dv = 0.0                       # dL/d(membrane after step t)
+        for t in reversed(range(t_steps)):
+            if theta_neg is not None:
+                ds_neg = -g[t] - dv * theta_neg
+                dv = dv - ds_neg * arctan_surrogate_grad(
+                    theta_neg - pre_neg[t], alpha)
+            ds_pos = g[t] - dv * theta_pos
+            dv = dv + ds_pos * arctan_surrogate_grad(pre_pos[t] - theta_pos,
+                                                     alpha)
+            if decay is None:
+                dx[t] = dv
+            else:
+                dx[t] = dv * decay
+                dv = dv - dx[t]
+        _acc(x, dx.reshape(x.shape))
+
+    return Tensor(np.concatenate(spikes), (x,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ File layout: magic b"SFQN", u16 version (=1), then a sequence of records
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -38,25 +39,39 @@ def save_records(path, records: dict[str, np.ndarray]) -> None:
 
 
 def load_records(path) -> dict[str, np.ndarray]:
+    """Read the records of a checkpoint; any malformed or truncated byte
+    sequence raises `CheckpointFormatError`."""
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
         raise CheckpointFormatError("bad magic; not a checkpoint file")
-    (version,) = struct.unpack_from("<H", data, 4)
+    off = 4
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal off
+        if off + n > len(data):
+            raise CheckpointFormatError(
+                f"truncated checkpoint: {what} needs {n} bytes at offset "
+                f"{off}, {len(data) - off} left")
+        off += n
+        return data[off - n:off]
+
+    (version,) = struct.unpack("<H", take(2, "version"))
     if version != VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    off = 6
     records: dict[str, np.ndarray] = {}
     while off < len(data):
-        (nlen,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<B", data, off)
-        off += 1
-        shape = struct.unpack_from(f"<{rank}I", data, off)
-        off += 4 * rank
-        count = int(np.prod(shape)) if rank else 1
-        values = np.frombuffer(data, dtype="<f4", count=count, offset=off)
-        off += 4 * count
+        (nlen,) = struct.unpack("<H", take(2, "name length"))
+        try:
+            name = take(nlen, "name").decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointFormatError(f"record name is not utf-8: {err}")
+        if name in records:
+            raise CheckpointFormatError(f"duplicate record {name!r}")
+        (rank,) = struct.unpack("<B", take(1, "rank"))
+        if rank > 4:
+            raise CheckpointFormatError(f"record {name!r} has rank {rank}")
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, "shape"))
+        values = np.frombuffer(take(4 * math.prod(shape), f"record {name!r}"),
+                               dtype="<f4")
         records[name] = values.reshape(shape).astype(np.float64)
     return records

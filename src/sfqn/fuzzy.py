@@ -7,7 +7,10 @@ banks store (mean, log sigma).
 
 Encoders turn [0,1] images into spike trains: `fuzzy_encode` drives one
 integrate-and-fire neuron per membership degree (pure integrator, threshold
-1.0, subtractive reset), `rate_encode` draws Bernoulli spikes.  Decoders map
+1.0, subtractive reset), `rate_encode` draws Bernoulli spikes.  A spike
+train is one tensor with all T steps stacked T-major along the leading
+axis: a (B, ...) input becomes (T*B, ...), row t*B + b being step t of
+sample b, the layout the multi-step layers of `snn` take.  Decoders map
 time-accumulated population activations back to continuous action values.
 """
 
@@ -108,34 +111,29 @@ def membership_eval(bank: MembershipBank, p) -> Tensor:
     return mu
 
 
-def if_spike_train(drive: Tensor, t_steps: int, alpha: float = 2.0) -> list[Tensor]:
+def if_spike_train(drive: Tensor, t_steps: int, alpha: float = 2.0) -> Tensor:
     """Integrate-and-fire with constant input current `drive` per step.
 
     Pure integrator, threshold 1.0, subtractive reset; surrogate gradient on
     the threshold crossing keeps the train differentiable w.r.t. the drive.
+    A (B, ...) drive gives (T*B, ...) spikes, T-major.
     """
     if t_steps <= 0:
         raise ValueError("simulation window must be positive")
-    v = Tensor(np.zeros(drive.shape))
-    spikes = []
-    for _ in range(t_steps):
-        v = v + drive
-        s = ad.surrogate_spike(v, threshold=1.0, alpha=alpha)
-        v = v - s
-        spikes.append(s)
-    return spikes
+    return ad.spike_recurrence(ad.concat([drive] * t_steps, axis=0), t_steps,
+                               theta_pos=1.0, alpha=alpha)
 
 
 def fuzzy_encode(banks: list[MembershipBank], image, t_steps: int,
-                 alpha: float = 2.0) -> list[Tensor]:
-    """Encode a (C,H,W) or (B,C,H,W) image into T steps of (N*C) spike maps.
+                 alpha: float = 2.0) -> Tensor:
+    """Encode a (C,H,W) or (B,C,H,W) image into (T*B, N*C, H, W) spikes.
 
     Each image channel expands into its bank's N membership channels; the
-    degrees drive IF neurons for `t_steps` steps.
+    degrees drive IF neurons for `t_steps` steps.  An unbatched image is a
+    batch of one.
     """
     img = np.asarray(image, dtype=np.float64)
-    batched = img.ndim == 4
-    if not batched:
+    if img.ndim == 3:
         img = img[None]
     if img.shape[1] != len(banks):
         raise ad.ShapeError(
@@ -145,41 +143,42 @@ def fuzzy_encode(banks: list[MembershipBank], image, t_steps: int,
         mu = membership_eval(bank, img[:, ci])      # (N, B, H, W)
         per_channel.append(ad.transpose(mu, (1, 0, 2, 3)))
     drive = ad.concat(per_channel, axis=1)          # (B, N*C, H, W)
-    spikes = if_spike_train(drive, t_steps, alpha=alpha)
-    if not batched:
-        spikes = [ad.reshape(s, s.shape[1:]) for s in spikes]
-    return spikes
+    return if_spike_train(drive, t_steps, alpha=alpha)
 
 
-def rate_encode(image, t_steps: int, rng: np.random.Generator) -> list[Tensor]:
-    """Bernoulli rate coding: spike probability equals the pixel value."""
+def rate_encode(image, t_steps: int, rng: np.random.Generator) -> Tensor:
+    """Bernoulli rate coding: spike probability equals the pixel value.
+
+    A (B, ...) image gives (T*B, ...) spikes, T-major, drawing step t's
+    noise before step t+1's.
+    """
     if t_steps <= 0:
         raise ValueError("simulation window must be positive")
     img = np.asarray(image, dtype=np.float64)
     if not np.all((img >= 0.0) & (img <= 1.0)):        # NaN fails both
         raise ValueError("rate coding requires pixels in [0,1]")
-    return [Tensor((rng.random(img.shape) < img).astype(np.float64))
-            for _ in range(t_steps)]
+    spikes = np.concatenate([rng.random(img.shape) < img
+                             for _ in range(t_steps)])
+    return Tensor(spikes.astype(np.float64))
 
 
-def accumulate_population(spikes: list[Tensor], weights: Tensor) -> Tensor:
-    """Time-summed weighted spike counts: lambda = sum_t s_t @ W.
+def accumulate_population(spikes: Tensor, weights: Tensor,
+                          t_steps: int) -> Tensor:
+    """Time-summed weighted spike counts: lambda = (sum_t s_t) @ W.
 
-    `spikes` are T tensors of shape (H_hidden,) or (B, H_hidden); `weights`
-    is (H_hidden, M*|A|).  With one column per action this is the
-    weighted-sum ablation decoder, Q(a) = sum_t sum_i w_ia s_it.
+    `spikes` is (T*B, H_hidden), T-major; `weights` is (H_hidden, M*|A|).
+    With one column per action this is the weighted-sum ablation decoder,
+    Q(a) = sum_t sum_i w_ia s_it.
     """
-    total = spikes[0]
-    for s in spikes[1:]:
-        total = total + s
-    squeeze = len(total.shape) == 1
-    if squeeze:
-        total = ad.reshape(total, (1,) + total.shape)
-    if total.shape[-1] != weights.shape[0]:
+    rows, width = spikes.shape
+    if rows % t_steps:
+        raise ad.ShapeError(f"{rows} rows are not a multiple of {t_steps} steps")
+    if width != weights.shape[0]:
         raise ad.ShapeError(
-            f"spike width {total.shape[-1]} vs weight rows {weights.shape[0]}")
-    lam = total @ weights
-    return ad.reshape(lam, lam.shape[1:]) if squeeze else lam
+            f"spike width {width} vs weight rows {weights.shape[0]}")
+    total = ad.tsum(ad.reshape(spikes, (t_steps, rows // t_steps, width)),
+                    axis=0)
+    return total @ weights
 
 
 class NeuralDecoder(ad.Module):

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fuzzy, snn
 from .autodiff import Tensor
-from .checkpoint import load_records, save_records
+from .checkpoint import CheckpointFormatError, load_records, save_records
 from .highway import ACTION_NAMES
 
 N_ACTIONS = len(ACTION_NAMES)
@@ -60,6 +60,9 @@ class NetworkConfig:
             raise ValueError(f"unknown decoder {self.decoder!r}")
         if (self.encoder == "none") != (self.decoder == "none"):
             raise ValueError("'none' encoder and decoder come as a pair")
+        if self.n_heads < 1 or self.c_emb % self.n_heads:
+            raise ValueError(f"c_emb {self.c_emb} does not split into "
+                             f"n_heads {self.n_heads} equal heads")
 
     @property
     def spiking(self) -> bool:
@@ -107,9 +110,11 @@ def load_parameters(params: dict[str, Tensor], records: dict,
     for name, p in params.items():
         name = prefix + name
         if name not in records:
-            raise KeyError(f"checkpoint missing record {name!r}")
+            raise CheckpointFormatError(f"checkpoint missing record {name!r}")
         if records[name].shape != p.value.shape:
-            raise ValueError(f"shape mismatch for {name!r}")
+            raise CheckpointFormatError(
+                f"record {name!r} has shape {records[name].shape}, "
+                f"parameter {p.value.shape}")
         p.value = records[name]
 
 
@@ -131,7 +136,7 @@ class QNetwork:
         neuron = snn.NeuronSpec(
             kind="lif" if cfg.spiking else "relu",
             tau_m=cfg.tau_m, theta_pos=cfg.theta_pos,
-            theta_neg=None, alpha=cfg.surrogate_alpha)
+            theta_neg=None, alpha=cfg.surrogate_alpha, t_steps=cfg.effective_t)
 
         self.banks: dict[str, list[fuzzy.MembershipBank]] = {}
         if cfg.encoder == "fuzzy":
@@ -174,7 +179,7 @@ class QNetwork:
                         if cfg.decoder == "neural" else None)
 
         # The one ordered list of layers; parameter names (and so checkpoint
-        # records), resets and the topology signature all come from it.  The
+        # records) and the topology signature come from it.  The
         # population weights are a bare parameter between head and decoder.
         self.layers: list[tuple[str, ad.Module | Tensor]] = [
             (f"{mod}.bank{ci}", bank)
@@ -229,16 +234,17 @@ class QNetwork:
                             self.named_parameters().items()})
 
     def load(self, path) -> None:
-        load_parameters(self.named_parameters(), load_records(path))
+        params, records = self.named_parameters(), load_records(path)
+        extra = [name for name in records if name not in params]
+        if extra:
+            raise CheckpointFormatError(
+                f"checkpoint records match no parameter: {extra}")
+        load_parameters(params, records)
 
     # -- forward ------------------------------------------------------------
 
-    def reset_state(self) -> None:
-        for _, layer in self.layers:
-            if isinstance(layer, ad.Module):
-                layer.reset()
-
-    def _encode(self, mod: str, image: np.ndarray) -> list[Tensor]:
+    def _encode(self, mod: str, image: np.ndarray) -> Tensor:
+        """(B,C,H,W) images -> (T*B, C', H, W) encoder output, T-major."""
         cfg = self.cfg
         if cfg.encoder == "fuzzy":
             return fuzzy.fuzzy_encode(self.banks[mod], image, cfg.t_steps,
@@ -246,40 +252,37 @@ class QNetwork:
         if cfg.encoder == "rate":
             rng = np.random.default_rng(self._encode_seed + (mod == "m2"))
             return fuzzy.rate_encode(image, cfg.t_steps, rng)
-        return [Tensor(np.asarray(image, dtype=np.float64))]
+        return Tensor(np.asarray(image, dtype=np.float64))
 
     def forward(self, bev: np.ndarray, lidar: np.ndarray
                 ) -> tuple[Tensor, Tensor | None]:
         """Batched forward: (B,C,H,W) images in [0,1] -> (B,|A|) Q tensor
-        and the (B, M*|A|) population activations (None for 'none')."""
-        cfg = self.cfg
-        self.reset_state()
-        x1 = self._encode("m1", bev)
-        x2 = self._encode("m2", lidar)
-        hidden_steps: list[Tensor] = []
-        for t in range(cfg.effective_t):
-            f1, f2 = x1[t], x2[t]
-            for block in self.convs["m1"]:
-                f1 = block.step(f1)
-            for block in self.convs["m2"]:
-                f2 = block.step(f2)
-            e1 = self.emb["m1"].step(f1)
-            e2 = self.emb["m2"].step(f2)
-            fused = self.cfl.step(e1, e2)
-            hidden_steps.append(self.head.step(fused))
+        and the (B, M*|A|) population activations (None for 'none').
 
-        lam = fuzzy.accumulate_population(hidden_steps, self.w_pop)
-        if cfg.decoder == "neural":
+        Every layer runs once over all T steps of the batch (T*B rows); this
+        equals stepping the stack T times because no layer feeds an earlier
+        one within a step.
+        """
+        f1, f2 = self._encode("m1", bev), self._encode("m2", lidar)
+        for block in self.convs["m1"]:
+            f1 = block.step(f1)
+        for block in self.convs["m2"]:
+            f2 = block.step(f2)
+        fused = self.cfl.step(self.emb["m1"].step(f1), self.emb["m2"].step(f2))
+        lam = fuzzy.accumulate_population(self.head.step(fused), self.w_pop,
+                                          self.cfg.effective_t)
+        if self.cfg.decoder == "neural":
             return self.decoder(lam), lam
-        if cfg.decoder == "weighted_sum":
+        if self.cfg.decoder == "weighted_sum":
             return lam, lam
         return lam, None
 
     def q_values(self, obs: dict) -> QVector:
-        """Single-observation convenience around `forward`."""
+        """Single-observation convenience around `forward`, without a graph."""
         bev = np.asarray(obs["bev"])[None]
         lidar = np.asarray(obs["lidar_grid"])[None]
-        q, lam = self.forward(bev, lidar)
+        with ad.no_grad():
+            q, lam = self.forward(bev, lidar)
         return QVector(q.value[0].copy(),
                        None if lam is None else lam.value[0].copy())
 
@@ -314,13 +317,12 @@ def count_multiplications(net: QNetwork, obs: dict | None = None) -> dict:
         obs = {"bev": rng.random((cfg.obs_channels, h, w)),
                "lidar_grid": rng.random((cfg.obs_channels, h, w))}
 
-    net.reset_state()
     with ad.count_mults() as c:
-        spikes = net._encode("m1", np.asarray(obs["bev"]))
+        spikes = net._encode("m1", np.asarray(obs["bev"])[None])
     measured_enc = c.mults
 
     first = net.convs["m1"][0]
-    first_in = spikes[0]
+    first_in = spikes.value[:1]                  # step 0 of the one sample
     with ad.count_mults() as c:
         ad.conv2d(first_in, first.kernels, first.stride, first.padding)
     measured_conv = c.mults

@@ -3,9 +3,14 @@
 LIF update is the decay-toward-input form v <- v + (x - v)/tau with
 subtractive reset.  Binary neurons emit {0,1} above theta_pos; ternary
 neurons additionally emit -1 at or below theta_neg (used only inside the
-cross-attention Q/K projections).  Every layer is stepped once per
-simulation step and carries its membrane state across steps; `reset()`
-clears state between network invocations.
+cross-attention Q/K projections).
+
+Layers run multi-step: each takes the inputs of all T simulation steps at
+once, stacked T-major along the leading axis (row t*B + b is step t of
+sample b), and runs its stateless ops (conv, projections, layer norm,
+attention products) once over all T*B rows.  Only the membrane recurrence
+runs over T, inside the fused `autodiff.spike_recurrence`.  No layer
+carries state from one call to the next; every call starts at rest.
 
 Setting `kind="relu"` in a NeuronSpec swaps the spiking nonlinearity for a
 stateless ReLU, which turns the same layer stack into the non-spiking
@@ -29,36 +34,22 @@ class NeuronSpec:
     theta_pos: float = 1.0
     theta_neg: float | None = None
     alpha: float = 2.0
+    t_steps: int = 1             # simulation window of one call
 
 
-class Neuron(ad.Module):
-    """One population of neurons sharing a NeuronSpec; owns membrane state."""
+class Neuron:
+    """One population of neurons sharing a NeuronSpec."""
 
     def __init__(self, spec: NeuronSpec):
         self.spec = spec
-        self.v: Tensor | None = None
-
-    def reset(self) -> None:
-        self.v = None
 
     def step(self, x: Tensor) -> Tensor:
+        """(T*B, ...) input currents -> (T*B, ...) spikes."""
         s = self.spec
         if s.kind == "relu":
             return ad.relu(x)
-        v = Tensor(np.zeros(x.shape)) if self.v is None else self.v
-        if v.shape != x.shape:
-            raise ad.ShapeError(f"input {x.shape} does not match membrane "
-                                f"{v.shape}; reset() between batch sizes")
-        v = v + (x - v) * (1.0 / s.tau_m)
-        s_pos = ad.surrogate_spike(v, s.theta_pos, s.alpha)
-        v = v - s_pos * s.theta_pos
-        spike = s_pos
-        if s.theta_neg is not None:
-            s_neg = ad.surrogate_spike_below(v, s.theta_neg, s.alpha)
-            v = v - s_neg * s.theta_neg
-            spike = s_pos - s_neg
-        self.v = v
-        return spike
+        return ad.spike_recurrence(x, s.t_steps, s.theta_pos, s.theta_neg,
+                                   s.tau_m, s.alpha)
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int,
@@ -70,7 +61,7 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int,
 
 
 class ConvLifBlock(ad.Module):
-    """Conv2d followed by a (binary) LIF population; state persists over T."""
+    """Conv2d followed by a (binary) LIF population."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int,
                  padding: int, neuron: NeuronSpec, rng: np.random.Generator,
@@ -104,7 +95,7 @@ class Embedding(ad.Module):
         self.neuron = Neuron(neuron)
 
     def step(self, x: Tensor) -> Tensor:
-        """(B,c,h,w) feature spikes -> (B, h*w, c_emb) token spikes."""
+        """(T*B,c,h,w) feature spikes -> (T*B, h*w, c_emb) token spikes."""
         b, c, h, w = x.shape
         if h * w != self.n_tokens or c != self.c_in:
             raise ad.ShapeError(f"embedding expects {self.c_in}x{self.n_tokens}"
@@ -174,10 +165,6 @@ class CrossFusionLayer(ad.Module):
         self.out_neuron = Neuron(neuron)
         self.last_qk: dict[str, np.ndarray] = {}
 
-    def reset(self) -> None:
-        super().reset()
-        self.last_qk = {}
-
     def _split_heads(self, x: Tensor) -> Tensor:
         b, n, c = x.shape
         return ad.transpose(
@@ -222,7 +209,13 @@ class FcLifHead(ad.Module):
         self.neuron = Neuron(neuron)
 
     def step(self, fused: Tensor) -> Tensor:
-        """(B, n, c) fused tokens -> (B, hidden) spikes."""
-        b = fused.shape[0]
-        flat = ad.reshape(fused, (b, int(np.prod(fused.shape[1:]))))
-        return self.neuron.step(flat @ self.w + self.b)
+        """(T*B, n, c) fused tokens -> (T*B, hidden) spikes."""
+        rows = fused.shape[0]
+        t = self.neuron.spec.t_steps
+        if rows % t:
+            raise ad.ShapeError(f"{rows} rows are not a multiple of {t} steps")
+        # One (B, d) @ (d, hidden) product per step, as a stack over T, so
+        # each step's current is the same BLAS call whatever T is.
+        flat = ad.reshape(fused, (t, rows // t, int(np.prod(fused.shape[1:]))))
+        cur = flat @ self.w + self.b
+        return self.neuron.step(ad.reshape(cur, (rows, cur.shape[-1])))

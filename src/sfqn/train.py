@@ -125,8 +125,9 @@ def bellman_target(batch: list[Transition], target_net: QNetwork,
     """y = r + gamma * max_a' Q_target(s', a'); y = r at terminals."""
     rewards = np.array([t.reward for t in batch])
     terminal = np.array([t.terminal for t in batch])
-    q_next, _ = target_net.forward(_stack(batch, "bev", "next_obs"),
-                                   _stack(batch, "lidar_grid", "next_obs"))
+    with ad.no_grad():
+        q_next, _ = target_net.forward(_stack(batch, "bev", "next_obs"),
+                                       _stack(batch, "lidar_grid", "next_obs"))
     return rewards + gamma * q_next.value.max(axis=1) * ~terminal
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -108,6 +109,96 @@ def test_surrogate_spike_saturation():
 def test_surrogate_alpha_must_be_positive():
     with pytest.raises(ValueError):
         ad.surrogate_spike(Tensor(np.zeros(1)), 1.0, 0.0)
+
+
+# (theta_pos, theta_neg, tau): binary LIF, ternary LIF, integrate-and-fire
+NEURON_KINDS = {"binary": (1.0, None, 2.0), "ternary": (1.0, -4.0, 2.0),
+                "if": (1.0, None, None)}
+
+
+def _per_step_reference(xs, theta_pos, theta_neg, tau, alpha):
+    """The unfused graph: one leaf per step and elementwise ops per step."""
+    v = Tensor(np.zeros(xs[0].shape))
+    spikes = []
+    for x in xs:
+        v = v + x if tau is None else v + (x - v) * (1.0 / tau)
+        s = ad.surrogate_spike(v, theta_pos, alpha)
+        v = v - s * theta_pos
+        if theta_neg is not None:
+            s_neg = ad.surrogate_spike_below(v, theta_neg, alpha)
+            v = v - s_neg * theta_neg
+            s = s - s_neg
+        spikes.append(s)
+    return spikes
+
+
+@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("t", [1, 2, 5])
+@pytest.mark.parametrize("kind", list(NEURON_KINDS))
+def test_spike_recurrence_matches_per_step_graph(kind, t, b, soft):
+    theta_pos, theta_neg, tau = NEURON_KINDS[kind]
+    rng = np.random.default_rng(t * 10 + b)
+    x = rng.normal(0.5, 6.0, (t * b, 2, 3))
+    seed = rng.standard_normal(x.shape)
+    with ad.soft_spike_forward() if soft else contextlib.nullcontext():
+        leaves = [Tensor(x[i * b:(i + 1) * b]) for i in range(t)]
+        ref = _per_step_reference(leaves, theta_pos, theta_neg, tau, 2.0)
+        ad.tsum(ad.concat(ref, axis=0) * seed).backward()
+        fused_in = Tensor(x)
+        fused = ad.spike_recurrence(fused_in, t, theta_pos, theta_neg, tau, 2.0)
+        ad.tsum(fused * seed).backward()
+    ref_out = np.concatenate([s.value for s in ref])
+    ref_grad = np.concatenate([leaf.grad for leaf in leaves])
+    if soft:
+        assert np.allclose(fused.value, ref_out, rtol=0, atol=1e-12)
+    else:
+        assert np.array_equal(fused.value, ref_out)
+        assert np.any(fused.value != 0)
+    scale = np.max(np.abs(ref_grad))
+    assert scale > 0
+    assert np.max(np.abs(fused_in.grad - ref_grad)) <= 1e-12 * scale
+
+
+def test_spike_recurrence_leading_axis_must_divide_by_t():
+    with pytest.raises(ad.ShapeError, match="multiple of 2"):
+        ad.spike_recurrence(Tensor(np.zeros((3, 4))), 2)
+    with pytest.raises(ad.ShapeError):
+        ad.spike_recurrence(Tensor(np.zeros((3, 4))), 0)
+    with pytest.raises(ValueError):
+        ad.spike_recurrence(Tensor(np.zeros((2, 4))), 2, alpha=0.0)
+
+
+def test_no_grad_records_no_graph_and_restores_flag():
+    a = Tensor(np.array([1.0, -2.0]))
+    with ad.no_grad():
+        out = ad.tsum(ad.spike_recurrence(a * 3.0, 1) + a)
+    assert out.parents == () and out._backward is None
+    assert out.value == 0.0                    # spikes [1, 0] plus a
+    graph = ad.tsum(a * 3.0)
+    assert graph.parents                       # recording is back on
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    assert ad.tsum(a).parents                  # restored after the exception
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert ad.tsum(a).parents == ()        # nesting keeps the outer state
+
+
+def test_surrogate_derivative_is_computed_only_in_backward(monkeypatch):
+    calls = []
+    real = ad.arctan_surrogate_grad
+    monkeypatch.setattr(ad, "arctan_surrogate_grad",
+                        lambda *args: calls.append(1) or real(*args))
+    u = Tensor(np.array([0.5, 1.5]))
+    spikes = [ad.surrogate_spike(u), ad.surrogate_spike_below(u, -1.0),
+              ad.spike_recurrence(u, 2)]
+    assert calls == []
+    for s in spikes:
+        s.backward(np.ones(2))
+    assert len(calls) == 4                     # one per step of the recurrence
 
 
 def test_grad_check_quadratic():

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfqn.checkpoint import (MAGIC, VERSION, CheckpointFormatError,
                              load_records, save_records)
@@ -54,3 +56,52 @@ def test_bad_version_rejected(tmp_path):
 def test_rank_limit_enforced(tmp_path):
     with pytest.raises(CheckpointFormatError):
         save_records(tmp_path / "x.sfqn", {"big": np.zeros((1,) * 5)})
+
+
+def _two_records(tmp_path) -> bytes:
+    path = tmp_path / "two.sfqn"
+    save_records(path, {"conv.k": np.arange(6.0).reshape(1, 2, 3),
+                        "w": np.array([0.5, -1.5])})
+    return path.read_bytes()
+
+
+def test_every_truncation_is_a_format_error_or_a_prefix(tmp_path):
+    data = _two_records(tmp_path)
+    full = load_records(tmp_path / "two.sfqn")
+    cut_path = tmp_path / "cut.sfqn"
+    errors = 0
+    for cut in range(len(data)):
+        cut_path.write_bytes(data[:cut])
+        try:
+            loaded = load_records(cut_path)
+        except CheckpointFormatError:
+            errors += 1
+            continue
+        # a cut on a record boundary is a valid shorter file
+        assert list(loaded) == list(full)[:len(loaded)]
+    # only the header and the end of the first record are boundaries
+    assert errors == len(data) - 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=64), st.booleans())
+def test_random_bytes_raise_only_format_errors(tmp_path_factory, tail, header):
+    path = tmp_path_factory.mktemp("fuzz") / "junk.sfqn"
+    path.write_bytes((MAGIC + struct.pack("<H", VERSION) if header else b"")
+                     + tail)
+    try:
+        records = load_records(path)
+    except CheckpointFormatError:
+        return
+    for arr in records.values():
+        assert arr.dtype == np.float64 and arr.ndim <= 4
+
+
+def test_duplicate_record_rejected(tmp_path):
+    data = _two_records(tmp_path)
+    head = len(MAGIC) + 2
+    first = 2 + len("conv.k") + 1 + 3 * 4 + 6 * 4
+    path = tmp_path / "dup.sfqn"
+    path.write_bytes(data[:head + first] + data[head:head + first])
+    with pytest.raises(CheckpointFormatError, match="duplicate"):
+        load_records(path)

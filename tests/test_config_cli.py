@@ -141,6 +141,13 @@ def test_config_component_rejection_is_config_error():
         parse_config("gamma = 1.5\n")
 
 
+def test_config_heads_must_divide_embedding_width():
+    # caught at parse time, not when the network is built
+    with pytest.raises(ConfigError, match="n_heads 3"):
+        parse_config("n_heads = 3\n")
+    assert parse_config("n_heads = 4\n").n_heads == 4
+
+
 def test_config_unknown_key_reports_line():
     with pytest.raises(ConfigError, match="line 2.*bogus"):
         parse_config("variant = fuzzy\nbogus = 1\n")

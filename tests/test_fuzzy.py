@@ -113,26 +113,27 @@ def test_membership_kink_uses_left_limit():
 
 def test_if_train_degree_one_fires_every_step():
     spikes = if_spike_train(Tensor(np.array([1.0])), 5)
-    assert [s.value[0] for s in spikes] == [1.0] * 5
+    assert spikes.value.tolist() == [1.0] * 5
 
 
 def test_if_train_quarter_degree_spikes_at_step_four():
     spikes = if_spike_train(Tensor(np.array([0.25])), 5)
-    assert [s.value[0] for s in spikes] == [0.0, 0.0, 0.0, 1.0, 0.0]
-    rate = sum(s.value[0] for s in spikes) / 5
+    assert spikes.value.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]
+    rate = spikes.value.sum() / 5
     assert abs(rate - 0.25) <= 1 / 5
 
 
 def test_if_train_zero_degree_silent():
     spikes = if_spike_train(Tensor(np.zeros(3)), 4)
-    assert all(not np.any(s.value) for s in spikes)
+    assert spikes.shape == (12,)
+    assert not np.any(spikes.value)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.floats(0.0, 1.0), st.integers(1, 50))
 def test_if_rate_within_one_over_t(mu, t):
     spikes = if_spike_train(Tensor(np.array([mu])), t)
-    rate = sum(s.value[0] for s in spikes) / t
+    rate = spikes.value.sum() / t
     assert abs(rate - mu) <= 1 / t + 1e-12
 
 
@@ -145,10 +146,11 @@ def test_fuzzy_encode_channel_expansion():
     banks = [MembershipBank("triangular", 3), MembershipBank("triangular", 3)]
     img = np.random.default_rng(0).random((2, 4, 4))
     spikes = fuzzy_encode(banks, img, t_steps=5)
-    assert len(spikes) == 5
-    for s in spikes:
-        assert s.shape == (6, 4, 4)          # N*C channels
-        assert set(np.unique(s.value)) <= {0.0, 1.0}
+    assert spikes.shape == (5, 6, 4, 4)      # T steps of one image, N*C channels
+    assert set(np.unique(spikes.value)) <= {0.0, 1.0}
+    batched = fuzzy_encode(banks, np.stack([img, img[:, ::-1]]), t_steps=5)
+    assert batched.shape == (10, 6, 4, 4)    # T-major: row t*B + b
+    assert np.array_equal(batched.value[0::2], spikes.value)
 
 
 def test_fuzzy_encode_bank_count_mismatch():
@@ -159,13 +161,13 @@ def test_fuzzy_encode_bank_count_mismatch():
 def test_rate_encode_extremes_and_concentration():
     rng = np.random.default_rng(0)
     ones = rate_encode(np.ones((1, 2, 2)), 4, rng)
-    assert all(np.all(s.value == 1.0) for s in ones)
+    assert ones.shape == (4, 2, 2) and np.all(ones.value == 1.0)
     zeros = rate_encode(np.zeros((1, 2, 2)), 4, rng)
-    assert all(np.all(s.value == 0.0) for s in zeros)
+    assert np.all(zeros.value == 0.0)
 
     train = rate_encode(np.full((1, 1, 1), 0.5), 10_000,
                         np.random.default_rng(7))
-    rate = np.mean([s.value[0, 0, 0] for s in train])
+    rate = np.mean(train.value)
     assert 0.48 <= rate <= 0.52
 
 
@@ -177,26 +179,33 @@ def test_rate_encode_clamp_warning_counter():
 
 
 def test_accumulate_population_hand_sum():
-    spikes = [Tensor(np.array([1.0, 1.0])), Tensor(np.array([0.0, 1.0])),
-              Tensor(np.array([1.0, 0.0]))]
+    spikes = Tensor(np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]))
     w = Tensor(np.array([[0.5], [-0.25]]))
-    lam = accumulate_population(spikes, w)
-    assert lam.value == pytest.approx([0.5])     # 0.5*2 + (-0.25)*2
+    lam = accumulate_population(spikes, w, 3)
+    assert lam.value == pytest.approx(np.array([[0.5]]))  # 0.5*2 - 0.25*2
 
 
 def test_accumulate_population_trivial_cases():
-    zero = accumulate_population([Tensor(np.zeros(3))] * 4,
-                                 Tensor(np.ones((3, 2))))
+    zero = accumulate_population(Tensor(np.zeros((4, 3))),
+                                 Tensor(np.ones((3, 2))), 4)
     assert np.all(zero.value == 0.0)
     k = 3
-    spikes = [Tensor(np.array([1.0, 0.0]))] * k
-    lam = accumulate_population(spikes, Tensor(np.eye(2)))
-    assert lam.value == pytest.approx([k, 0.0])
+    spikes = Tensor(np.tile([1.0, 0.0], (k, 1)))
+    lam = accumulate_population(spikes, Tensor(np.eye(2)), k)
+    assert lam.value == pytest.approx(np.array([[k, 0.0]]))
+    # T-major rows: step t of sample b is row t*B + b
+    two = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]))
+    lam = accumulate_population(two, Tensor(np.eye(2)), 2)
+    assert lam.value.tolist() == [[2.0, 0.0], [0.0, 1.0]]
 
 
 def test_accumulate_population_shape_mismatch():
     with pytest.raises(ad.ShapeError):
-        accumulate_population([Tensor(np.zeros(3))], Tensor(np.ones((4, 2))))
+        accumulate_population(Tensor(np.zeros((1, 3))),
+                              Tensor(np.ones((4, 2))), 1)
+    with pytest.raises(ad.ShapeError):
+        accumulate_population(Tensor(np.zeros((5, 4))),
+                              Tensor(np.ones((4, 2))), 2)
 
 
 def test_decode_neural_zero_input_zero_bias():
@@ -283,18 +292,17 @@ def test_decode_centroid_symmetry():
 
 def test_decode_weighted_sum_equals_accumulate_m1():
     rng = np.random.default_rng(2)
-    spikes = [Tensor((rng.random(8) < 0.4).astype(float)) for _ in range(5)]
+    spikes = Tensor((rng.random((5, 8)) < 0.4).astype(float))
     w = Tensor(rng.standard_normal((8, 5)))
     # the weighted-sum decoder is accumulate_population with one column per
     # action: the time-summed spikes times the weights
-    assert np.array_equal(accumulate_population(spikes, w).value,
-                          sum(s.value for s in spikes) @ w.value)
+    assert np.array_equal(accumulate_population(spikes, w, 5).value,
+                          spikes.value.sum(axis=0, keepdims=True) @ w.value)
     # hand case reproduces the accumulate example
     hand = accumulate_population(
-        [Tensor(np.array([1.0, 1.0])), Tensor(np.array([0.0, 1.0])),
-         Tensor(np.array([1.0, 0.0]))],
-        Tensor(np.array([[0.5], [-0.25]])))
-    assert hand.value == pytest.approx([0.5])
+        Tensor(np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])),
+        Tensor(np.array([[0.5], [-0.25]])), 3)
+    assert hand.value == pytest.approx(np.array([[0.5]]))
 
 
 def test_membership_mult_instrumentation():

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from sfqn import autodiff as ad
-from sfqn import qnet
+from sfqn import config, qnet
+from sfqn.checkpoint import CheckpointFormatError, save_records
 from sfqn.qnet import NetworkConfig, QNetwork, count_multiplications
 
 
@@ -118,6 +121,24 @@ def test_save_load_roundtrip_digest(tmp_path):
     assert np.array_equal(net.q_values(obs).q, other.q_values(obs).q)
 
 
+def test_load_rejects_records_not_matching_parameters(tmp_path):
+    net = QNetwork(tiny_cfg())
+    records = {n: p.value for n, p in net.named_parameters().items()}
+    path = tmp_path / "extra.sfqn"
+    save_records(path, {**records, "bogus.extra": np.zeros(2),
+                        "m9.conv0.k": np.zeros(1)})
+    with pytest.raises(CheckpointFormatError,
+                       match=r"'bogus.extra', 'm9.conv0.k'"):
+        net.load(path)
+    # missing and mis-shaped records are format errors too
+    save_records(path, {n: v for n, v in records.items() if n != "head.w"})
+    with pytest.raises(CheckpointFormatError, match="missing record 'head.w'"):
+        net.load(path)
+    save_records(path, {**records, "head.w": np.zeros(3)})
+    with pytest.raises(CheckpointFormatError, match="'head.w' has shape"):
+        net.load(path)
+
+
 def test_layer_list_names_checkpoint_records():
     net = QNetwork(tiny_cfg())
     assert [prefix for prefix, _ in net.layers] == [
@@ -137,18 +158,67 @@ def test_layer_list_names_checkpoint_records():
     assert net.parameters() == list(net.named_parameters().values())
 
 
-def test_reset_state_clears_every_neuron():
-    net = QNetwork(tiny_cfg())
-    cfg = net.cfg
+def test_forward_independent_of_previous_call():
+    # no layer keeps state between calls: a forward after other batches
+    # equals the same forward on a fresh network
+    cfg = tiny_cfg()
     h, w = cfg.obs_hw
-    net.forward(np.full((2, 1, h, w), 0.9), np.full((2, 1, h, w), 0.9))
-    neurons = [blk.neuron for m in ("m1", "m2") for blk in net.convs[m]]
-    neurons += [net.emb[m].neuron for m in ("m1", "m2")] + [net.head.neuron]
-    neurons += list(net.cfl.qk_neurons.values()) + [
-        net.cfl.att_neuron, net.cfl.ff_hidden_neuron, net.cfl.out_neuron]
-    assert all(n.v is not None for n in neurons)
-    net.reset_state()
-    assert all(n.v is None for n in neurons)
+    rng = np.random.default_rng(1)
+    bev, lidar = rng.random((2, 1, h, w)), rng.random((2, 1, h, w))
+    used = QNetwork(cfg)
+    used.forward(np.full((3, 1, h, w), 0.9), np.full((3, 1, h, w), 0.9))
+    used.forward(bev[:1], lidar[:1])
+    fresh = QNetwork(cfg)
+    assert np.array_equal(used.forward(bev, lidar)[0].value,
+                          fresh.forward(bev, lidar)[0].value)
+
+
+def _variant_cfg(variant: str, **overrides) -> NetworkConfig:
+    encoder, decoder, kind = config.VARIANTS[variant]
+    return tiny_cfg(encoder=encoder, decoder=decoder, membership_kind=kind,
+                    **overrides)
+
+
+@pytest.mark.parametrize("variant", list(config.VARIANTS))
+def test_no_grad_forward_is_bitwise_graph_forward(variant):
+    net = QNetwork(_variant_cfg(variant))
+    obs = rand_obs(net.cfg, seed=2)
+    bev, lidar = obs["bev"][None], obs["lidar_grid"][None]
+    q, lam = net.forward(bev, lidar)
+    assert q.parents
+    with ad.no_grad():
+        q_ng, lam_ng = net.forward(bev, lidar)
+    assert q_ng.parents == () and q_ng._backward is None
+    assert np.array_equal(q_ng.value, q.value)
+    assert (lam is None) == (lam_ng is None)
+    if lam is not None:
+        assert np.array_equal(lam_ng.value, lam.value)
+    assert np.array_equal(net.q_values(obs).q, q.value[0])
+
+
+# sha256 prefixes of Q for batches of 1 and 3, recorded on the per-step
+# implementation this multi-step forward replaced (numpy 2.4 with its
+# bundled OpenBLAS on x86-64); a change in them is a change in behaviour.
+FORWARD_PINS = {
+    "fuzzy": "35585061015c8a5b",
+    "fuzzy_ws": "cb64e4f70e338159",
+    "gaussian": "948a846dc3012e88",
+    "rate": "03b1e0edec45fb3d",
+    "nonspiking": "0a63a179d9b97dea",
+}
+
+
+@pytest.mark.parametrize("variant", list(FORWARD_PINS))
+def test_forward_pin(variant):
+    net = QNetwork(_variant_cfg(variant, obs_hw=(12, 12), conv_channels=(4, 8),
+                                fc_hidden=32, t_steps=4, seed=3))
+    rng = np.random.default_rng(11)
+    bev, lidar = rng.random((3, 1, 12, 12)), rng.random((3, 1, 12, 12))
+    lidar[lidar < 0.7] = 0.0
+    digest = hashlib.sha256()
+    for b in (1, 3):
+        digest.update(net.forward(bev[:b], lidar[:b])[0].value.tobytes())
+    assert digest.hexdigest()[:16] == FORWARD_PINS[variant]
 
 
 def test_copy_parameters_and_digest():

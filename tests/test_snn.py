@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,75 +11,67 @@ from sfqn.snn import (ConvLifBlock, CrossFusionLayer, Embedding, FcLifHead,
 BIN = NeuronSpec(kind="lif", tau_m=2.0, theta_pos=1.0)
 
 
+def _steps(t: int) -> NeuronSpec:
+    return replace(BIN, t_steps=t)
+
+
+def _repeat(x: np.ndarray, t: int) -> Tensor:
+    """The same (B, ...) input at each of t steps, T-major."""
+    return Tensor(np.concatenate([x] * t))
+
+
 def _alphabet(values, allowed):
     return set(np.unique(values)) <= set(allowed)
 
 
 def test_lif_constant_drive_one_spike_per_step():
-    n = Neuron(BIN)
-    for _ in range(4):
-        s = n.step(Tensor(np.array([2.0])))
-        assert s.value[0] == 1.0          # v: 0 -> 1 -> spike -> reset to 0
-        assert n.v.value[0] == pytest.approx(0.0)
+    # v: 0 -> 1 -> spike -> reset to 0, at every step
+    s = Neuron(_steps(4)).step(Tensor(np.full((4, 1), 2.0)))
+    assert s.value.tolist() == [[1.0]] * 4
 
 
 def test_lif_ternary_negative_arm():
-    n = Neuron(NeuronSpec(kind="lif", tau_m=2.0, theta_pos=1.0, theta_neg=-4.0))
-    s = n.step(Tensor(np.array([-10.0])))
-    assert s.value[0] == -1.0             # v1 = -5 <= -4 fires the negative arm
-    assert n.v.value[0] == pytest.approx(-1.0)   # subtractive: -5 - (-4)
+    spec = NeuronSpec(kind="lif", tau_m=2.0, theta_pos=1.0, theta_neg=-4.0,
+                      t_steps=2)
+    # step 1: v = -5 <= -4 fires the negative arm in both samples and the
+    # subtractive reset leaves v = -5 - (-4) = -1.  Step 2 then fires only
+    # for drive 3.5 (v = -1 + 4.5/2 = 1.25), not 2.9 (v = 0.95); a reset to
+    # 0 would fire both, no reset (v = -5) neither.
+    x = Tensor(np.array([[-10.0, -10.0], [3.5, 2.9]]))
+    s = Neuron(spec).step(x)
+    assert s.value.tolist() == [[-1.0, -1.0], [1.0, 0.0]]
 
 
 def test_lif_silent_without_drive():
-    n = Neuron(BIN)
-    for _ in range(10):
-        assert n.step(Tensor(np.zeros(3))).value.sum() == 0.0
+    assert Neuron(_steps(10)).step(Tensor(np.zeros((30,)))).value.sum() == 0.0
 
 
 def test_lif_subthreshold_accumulation():
     # v_t converges to x from below: x=0.9 never reaches theta=1
-    n = Neuron(BIN)
-    for _ in range(50):
-        s = n.step(Tensor(np.array([0.9])))
-    assert s.value[0] == 0.0
-    assert n.v.value[0] < 1.0
+    s = Neuron(_steps(50)).step(Tensor(np.full((50, 1), 0.9)))
+    assert not np.any(s.value)
 
 
-def test_lif_batch_change_without_reset_raises():
-    n = Neuron(BIN)
-    n.step(Tensor(np.ones((2, 3))))
-    with pytest.raises(ad.ShapeError, match="reset"):
-        n.step(Tensor(np.ones((1, 3))))
-    n.reset()
-    assert n.step(Tensor(np.ones((1, 3)))).shape == (1, 3)
-
-
-def test_cross_fusion_reset_clears_every_neuron():
-    rng = np.random.default_rng(0)
-    cfl = CrossFusionLayer(8, 2, 16, BIN, theta_neg=-4.0, rng=rng)
-    e = Tensor(np.ones((1, 4, 8)))
-    cfl.step(e, e)
-    neurons = list(cfl.qk_neurons.values()) + [
-        cfl.att_neuron, cfl.ff_hidden_neuron, cfl.out_neuron]
-    assert all(n.v is not None for n in neurons)
-    cfl.reset()
-    assert all(n.v is None for n in neurons)
-    assert cfl.last_qk == {}
+def test_lif_leading_axis_not_multiple_of_t_raises():
+    n = Neuron(_steps(3))
+    with pytest.raises(ad.ShapeError, match="multiple of 3"):
+        n.step(Tensor(np.ones((4, 3))))
+    assert n.step(Tensor(np.ones((6, 3)))).shape == (6, 3)
 
 
 def test_relu_mode_is_stateless():
     n = Neuron(NeuronSpec(kind="relu"))
     out = n.step(Tensor(np.array([-1.0, 0.5])))
     assert np.array_equal(out.value, [0.0, 0.5])
-    assert n.v is None
+    assert n.step(Tensor(np.array([[2.0]]))).value.tolist() == [[2.0]]
 
 
 def test_conv_lif_zero_in_zero_out():
     rng = np.random.default_rng(0)
-    block = ConvLifBlock(2, 3, 3, 1, 1, BIN, rng)
-    for _ in range(5):
-        s = block.step(Tensor(np.zeros((1, 2, 4, 4))))
-        assert s.value.sum() == 0.0
+    block = ConvLifBlock(2, 3, 3, 1, 1, _steps(5), rng)
+    s = block.step(Tensor(np.zeros((5, 2, 4, 4))))
+    assert s.shape == (5, 3, 4, 4)
+    assert s.value.sum() == 0.0
 
 
 def test_conv_lif_identity_kernel_propagates_spike():
@@ -93,14 +87,12 @@ def test_conv_lif_identity_kernel_propagates_spike():
 
 def test_conv_lif_alphabet_and_state_reset():
     rng = np.random.default_rng(1)
-    block = ConvLifBlock(2, 4, 3, 2, 1, BIN, rng, gain=10.0)
-    x = Tensor((rng.random((1, 2, 8, 8)) < 0.5).astype(float))
-    first = [block.step(x).value for _ in range(3)]
-    assert all(_alphabet(s, (0.0, 1.0)) for s in first)
-    block.reset()
-    second = [block.step(x).value for _ in range(3)]
-    for a, b in zip(first, second):
-        assert np.array_equal(a, b)       # state isolation
+    block = ConvLifBlock(2, 4, 3, 2, 1, _steps(3), rng, gain=10.0)
+    x = _repeat((rng.random((1, 2, 8, 8)) < 0.5).astype(float), 3)
+    first = block.step(x).value
+    assert _alphabet(first, (0.0, 1.0))
+    # every call starts at rest: no state leaks from the first call
+    assert np.array_equal(block.step(x).value, first)
 
 
 def test_embedding_shape_and_mismatch():
@@ -134,8 +126,8 @@ def test_ternary_single_head_raw_score_is_width():
 
 def test_cross_fusion_zero_inputs():
     rng = np.random.default_rng(0)
-    cfl = CrossFusionLayer(8, 2, 16, BIN, theta_neg=-4.0, rng=rng)
-    out = cfl.step(Tensor(np.zeros((1, 4, 8))), Tensor(np.zeros((1, 4, 8))))
+    cfl = CrossFusionLayer(8, 2, 16, _steps(2), theta_neg=-4.0, rng=rng)
+    out = cfl.step(Tensor(np.zeros((2, 4, 8))), Tensor(np.zeros((2, 4, 8))))
     # zero tokens -> zero Q/K currents -> no spikes -> zero scores
     assert all(v.sum() == 0.0 for v in cfl.last_qk.values())
     # residual path is zero too; biases are zero, so nothing crosses threshold
@@ -144,61 +136,60 @@ def test_cross_fusion_zero_inputs():
 
 def test_cross_fusion_output_alphabet_and_qk_ternary():
     rng = np.random.default_rng(2)
-    cfl = CrossFusionLayer(8, 2, 16, BIN, theta_neg=-4.0, rng=rng, gain=10.0)
-    e1 = Tensor((rng.random((2, 9, 8)) < 0.5).astype(float))
-    e2 = Tensor((rng.random((2, 9, 8)) < 0.5).astype(float))
-    for _ in range(3):
-        out = cfl.step(e1, e2)
-        assert _alphabet(out.value, (0.0, 1.0))
+    cfl = CrossFusionLayer(8, 2, 16, _steps(3), theta_neg=-4.0, rng=rng,
+                           gain=10.0)
+    e1 = _repeat((rng.random((2, 9, 8)) < 0.5).astype(float), 3)
+    e2 = _repeat((rng.random((2, 9, 8)) < 0.5).astype(float), 3)
+    out = cfl.step(e1, e2)
+    assert out.shape == (6, 9, 8)
+    assert _alphabet(out.value, (0.0, 1.0))
     for name, val in cfl.last_qk.items():
+        assert val.shape == (6, 9, 8)
         assert _alphabet(val, (-1.0, 0.0, 1.0))
     with pytest.raises(ad.ShapeError):
-        cfl.step(e1, Tensor(np.zeros((2, 4, 8))))
+        cfl.step(e1, Tensor(np.zeros((6, 4, 8))))
 
 
 def test_cross_fusion_state_isolation():
+    # a multi-step call equals its first samples' call: rows of one sample
+    # never see another sample's membranes, and no call sees a previous one
     rng = np.random.default_rng(3)
-    cfl = CrossFusionLayer(8, 2, 16, BIN, theta_neg=-4.0, rng=rng, gain=10.0)
-    e1 = Tensor((rng.random((1, 4, 8)) < 0.5).astype(float))
-    e2 = Tensor((rng.random((1, 4, 8)) < 0.5).astype(float))
-    run1 = [cfl.step(e1, e2).value for _ in range(3)]
-    cfl.reset()
-    run2 = [cfl.step(e1, e2).value for _ in range(3)]
-    for a, b in zip(run1, run2):
-        assert np.array_equal(a, b)
+    cfl = CrossFusionLayer(8, 2, 16, _steps(3), theta_neg=-4.0, rng=rng,
+                           gain=10.0)
+    x1 = (rng.random((2, 4, 8)) < 0.5).astype(float)
+    x2 = (rng.random((2, 4, 8)) < 0.5).astype(float)
+    both = cfl.step(_repeat(x1, 3), _repeat(x2, 3)).value
+    first = cfl.step(_repeat(x1[:1], 3), _repeat(x2[:1], 3)).value
+    assert np.array_equal(both[0::2], first)
 
 
 def test_fc_head_zero_input_zero_spikes():
     rng = np.random.default_rng(0)
-    head = FcLifHead(12, 6, BIN, rng)
-    s = head.step(Tensor(np.zeros((1, 4, 3))))
+    head = FcLifHead(12, 6, _steps(2), rng)
+    s = head.step(Tensor(np.zeros((2, 4, 3))))
+    assert s.shape == (2, 6)
     assert s.value.sum() == 0.0
+    with pytest.raises(ad.ShapeError):
+        head.step(Tensor(np.zeros((3, 4, 3))))
 
 
 def test_fc_head_deterministic():
     rng = np.random.default_rng(4)
-    head = FcLifHead(12, 6, BIN, rng, gain=10.0)
-    x = Tensor((rng.random((1, 4, 3)) < 0.5).astype(float))
-    a = [head.step(x).value for _ in range(4)]
-    head.reset()
-    b = [head.step(x).value for _ in range(4)]
-    for u, v in zip(a, b):
-        assert np.array_equal(u, v)
+    head = FcLifHead(12, 6, _steps(4), rng, gain=10.0)
+    x = _repeat((rng.random((1, 4, 3)) < 0.5).astype(float), 4)
+    assert np.array_equal(head.step(x).value, head.step(x).value)
 
 
 def test_fc_head_spike_count_monotone_in_weight_scale():
     # brute-force over a 4-unit toy layer: scaling positive weights x10
     # cannot decrease the total spike count on a fixed positive input
     rng = np.random.default_rng(6)
-    x = Tensor(rng.random((1, 1, 4)))
+    x = rng.random((1, 1, 4))
 
     def total_spikes(scale):
-        head = FcLifHead(4, 4, BIN, np.random.default_rng(6))
+        head = FcLifHead(4, 4, _steps(5), np.random.default_rng(6))
         head.w.value = np.abs(head.w.value) * scale
-        total = 0.0
-        for _ in range(5):
-            total += head.step(x).value.sum()
-        return total
+        return head.step(_repeat(x, 5)).value.sum()
 
     assert total_spikes(10.0) >= total_spikes(1.0)
 
@@ -211,14 +202,8 @@ def test_surrogate_differentiability_two_layer_toy():
     w2 = rng.standard_normal((4, 3))
 
     def loss(w1):
-        n1 = Neuron(BIN)
-        n2 = Neuron(BIN)
-        out = None
-        for _ in range(2):
-            s1 = n1.step(Tensor(x) @ w1)
-            s2 = n2.step(s1 @ Tensor(w2))
-            out = s2 if out is None else out + s2
-        return ad.tsum(out)
+        n1, n2 = Neuron(_steps(2)), Neuron(_steps(2))
+        return ad.tsum(n2.step(n1.step(_repeat(x, 2) @ w1) @ Tensor(w2)))
 
     with ad.soft_spike_forward():
         err = ad.grad_check(loss, rng.standard_normal((6, 4)))
