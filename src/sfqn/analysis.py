@@ -63,8 +63,6 @@ class CostReport:
 def cost_model(c: int, h: int, w: int, conv: ConvSpec, n: int, m: int,
                n_actions: int) -> CostReport:
     h_out, w_out = conv2d_extents(h, w, conv.kernel, conv.stride, conv.padding)
-    if h_out < 1 or w_out < 1:
-        raise ValueError("conv spec produces an empty output grid")
     return CostReport(
         fuzzy_encoder=c * n * h * w,
         rate_encoder=0,

@@ -419,79 +419,71 @@ def matmul(a, b) -> Tensor:
     def backward(g):
         _acc(a, _unbroadcast(np.matmul(g, np.swapaxes(b.value, -1, -2)),
                                a.value.shape))
-        _acc(b, _unbroadcast(np.matmul(np.swapaxes(a.value, -1, -2), g),
-                               b.value.shape))
+        gb = (a.value.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+              if b.value.ndim == 2 else         # a shared weight: one GEMM
+              np.matmul(np.swapaxes(a.value, -1, -2), g))
+        _acc(b, _unbroadcast(gb, b.value.shape))
 
     return Tensor(out_val, (a, b), backward)
 
 
 def conv2d_extents(h: int, w: int, l: int, stride: int, padding: int):
-    """Output extents of an l x l kernel at the given stride/padding."""
+    """Output extents of an l x l kernel at the given stride/padding;
+    `ShapeError` unless stride >= 1, padding >= 0 and the kernel fits."""
+    if stride < 1 or padding < 0:
+        raise ShapeError(f"conv2d needs stride >= 1 and padding >= 0, got "
+                         f"stride {stride}, padding {padding}")
     h_out = (h + 2 * padding - l) // stride + 1
     w_out = (w + 2 * padding - l) // stride + 1
+    if h_out < 1 or w_out < 1:
+        raise ShapeError(f"kernel {l} exceeds padded input {h}x{w} (p={padding})")
     return h_out, w_out
 
 
-def _im2col(x: np.ndarray, l: int, stride: int, padding: int):
-    """(B,C,H,W) -> (B, C*l*l, Ho*Wo) patch matrix."""
-    b, c, h, w = x.shape
-    h_out, w_out = conv2d_extents(h, w, l, stride, padding)
-    if h_out < 1 or w_out < 1:
-        raise ShapeError(f"kernel {l} exceeds padded input {h}x{w} (p={padding})")
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (l, l), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]              # (B,C,Ho,Wo,l,l)
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * l * l, h_out * w_out)
-    return np.ascontiguousarray(cols), h_out, w_out
-
-
-def _col2im(cols: np.ndarray, x_shape, l: int, stride: int, padding: int):
-    """Scatter-add the inverse of `_im2col`."""
-    b, c, h, w = x_shape
-    h_out, w_out = conv2d_extents(h, w, l, stride, padding)
-    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
-    cols = cols.reshape(b, c, l, l, h_out, w_out)
-    for i in range(l):
-        for j in range(l):
-            xp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] \
-                += cols[:, :, i, j]
-    if padding:
-        xp = xp[:, :, padding:h + padding, padding:w + padding]
-    return xp
-
-
 def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation with zero padding.
+    """2-D cross-correlation with zero padding, as im2col + GEMM.
 
-    `x` is (C,H,W) or batched (B,C,H,W); `kernels` is (C_out,C,l,l).
+    `x` is (C,H,W) or batched (B,C,H,W); `kernels` is (C_out,C,l,l).  One
+    patch-index map sends patch entry (c*l*l + i*l + j, oh*Wo + ow) to the
+    flat index of x[c, oh*s+i-p, ow*s+j-p] in its sample, or, for a tap in
+    the padding, to a zero slot after the sample's C*H*W values.  Forward
+    gathers the patch matrix along it with `np.take`; backward scatters the
+    patch gradients back with one `np.bincount`, which adds each input
+    cell's taps in kernel order.
     """
     x, kernels = as_tensor(x), as_tensor(kernels)
-    squeeze = x.value.ndim == 3
-    xv = x.value[None] if squeeze else x.value
-    if xv.ndim != 4 or kernels.value.ndim != 4:
+    if x.value.ndim not in (3, 4) or kernels.value.ndim != 4:
         raise ShapeError("conv2d expects (B,C,H,W) input and (Cout,C,l,l) kernels")
     c_out, c_k, l, l2 = kernels.value.shape
-    if l != l2:
-        raise ShapeError("conv2d kernels must be square")
-    if xv.shape[1] != c_k:
-        raise ShapeError(f"conv2d channel mismatch: input {xv.shape[1]}, kernel {c_k}")
+    b, (c, h, w) = (x.shape[0] if x.value.ndim == 4 else 1), x.shape[-3:]
+    if l != l2 or c != c_k:
+        raise ShapeError(f"conv2d kernels {kernels.shape} are not square "
+                         f"or do not match the {c} input channels")
+    h_out, w_out = conv2d_extents(h, w, l, stride, padding)
 
-    cols, h_out, w_out = _im2col(xv, l, stride, padding)
-    kmat = kernels.value.reshape(c_out, c_k * l * l)
-    out = np.matmul(kmat, cols)                       # (B, Cout, Ho*Wo)
+    taps = np.arange(l)[:, None]
+    r = (stride * np.arange(h_out) + taps - padding)[:, None, :, None]
+    q = (stride * np.arange(w_out) + taps - padding)[None, :, None, :]
+    cell = np.arange(c)[:, None, None, None, None] * (h * w) + r * w + q
+    inside = (r >= 0) & (r < h) & (q >= 0) & (q < w)
+    idx = np.where(inside, cell, c * h * w).reshape(c * l * l, h_out * w_out)
+    slots = np.zeros((b, c * h * w + 1))          # last slot: the zero pad
+    slots[:, :-1] = x.value.reshape(b, c * h * w)
+    cols = np.take(slots, idx, axis=1)            # (B, C*l*l, Ho*Wo)
+    kmat = kernels.value.reshape(c_out, c * l * l)
+    out = np.matmul(kmat, cols)                   # (B, Cout, Ho*Wo)
     record_mults(out.size * kmat.shape[1])
-    out = out.reshape(xv.shape[0], c_out, h_out, w_out)
-    if squeeze:
-        out = out[0]
+    out = out.reshape(x.shape[:-3] + (c_out, h_out, w_out))
 
     def backward(g):
-        gb = g[None] if squeeze else g
-        gmat = gb.reshape(gb.shape[0], c_out, h_out * w_out)
-        _acc(kernels, np.einsum("bop,bcp->oc", gmat, cols).reshape(
-            kernels.value.shape))
+        gmat = g.reshape(b, c_out, h_out * w_out)
+        _acc(kernels, np.matmul(gmat, cols.transpose(0, 2, 1)).sum(0)
+             .reshape(kernels.value.shape))
         dcols = np.matmul(kmat.T, gmat)
-        dx = _col2im(dcols, xv.shape, l, stride, padding)
-        _acc(x, dx[0] if squeeze else dx)
+        n = c * h * w + 1
+        dx = np.bincount((idx + n * np.arange(b)[:, None, None]).ravel(),
+                         weights=dcols.ravel(), minlength=b * n)
+        _acc(x, dx.reshape(b, n)[:, :-1].reshape(x.value.shape))
 
     return Tensor(out, (x, kernels), backward)
 

@@ -60,9 +60,17 @@ class NetworkConfig:
             raise ValueError(f"unknown decoder {self.decoder!r}")
         if (self.encoder == "none") != (self.decoder == "none"):
             raise ValueError("'none' encoder and decoder come as a pair")
-        if self.n_heads < 1 or self.c_emb % self.n_heads:
+        small = [name for name in (
+            "n_membership", "m_population", "t_steps", "obs_channels",
+            "obs_hw", "conv_channels", "conv_kernel", "conv_stride", "c_emb",
+            "n_heads", "d_ff", "fc_hidden", "dec_hidden")
+            if min(np.ravel(getattr(self, name)), default=0) < 1]
+        if small:
+            raise ValueError(f"sizes must be at least 1: {', '.join(small)}")
+        if self.c_emb % self.n_heads:
             raise ValueError(f"c_emb {self.c_emb} does not split into "
                              f"n_heads {self.n_heads} equal heads")
+        self.token_grid()
 
     @property
     def spiking(self) -> bool:
@@ -82,8 +90,6 @@ class NetworkConfig:
         for _ in self.conv_channels:
             h, w = ad.conv2d_extents(h, w, self.conv_kernel, self.conv_stride,
                                      self.conv_padding)
-        if h < 1 or w < 1:
-            raise ValueError("conv chain collapses the grid below 1x1")
         return h, w
 
 

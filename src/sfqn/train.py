@@ -108,6 +108,10 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0,1)")
+        if min(self.batch, self.target_update_every, self.train_every,
+               self.checkpoint_every) < 1:
+            raise ValueError("batch, target_update_every, train_every and "
+                             "checkpoint_every must be at least 1")
 
     def epsilon(self, step: int) -> float:
         span = max(1, int(self.eps_fraction * self.total_steps))

@@ -35,6 +35,22 @@ def test_matmul_grad_is_ones_bt():
     assert err < 1e-3
 
 
+def test_matmul_stacked_weight_gradient_is_slice_sum():
+    rng = np.random.default_rng(5)
+    a = Tensor(rng.standard_normal((3, 4, 6)))
+    w = Tensor(rng.standard_normal((6, 2)))
+    g = rng.standard_normal((3, 4, 2))
+    (a @ w).backward(g)
+    ref = sum(a.value[t].T @ g[t] for t in range(3))
+    assert np.allclose(w.grad, ref, rtol=1e-12, atol=0)
+    assert np.allclose(a.grad, g @ w.value.T, rtol=1e-12, atol=0)
+
+    w1 = Tensor(w.value[None])                  # (1,k,n): broadcast weight
+    (a @ w1).backward(g)
+    assert w1.grad.shape == (1, 6, 2)
+    assert np.allclose(w1.grad[0], ref, rtol=1e-12, atol=0)
+
+
 def test_conv2d_trivial_broadcast_kernel():
     out = ad.conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.full((1, 1, 1, 1), 2.0)))
     assert np.array_equal(out.value, np.full((1, 3, 3), 2.0))
@@ -52,22 +68,54 @@ def test_conv2d_extents_closed_form():
                     assert h_out == math.floor((h + 2 * p - l) / s) + 1
 
 
-def test_conv2d_matches_naive_loop():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((2, 6, 7))
-    k = rng.standard_normal((3, 2, 3, 3))
-    stride, pad = 2, 1
-    out = ad.conv2d(Tensor(x), Tensor(k), stride, pad).value
-
+def _naive_conv2d(x, k, stride, pad, g):
+    """Output, input gradient and kernel gradient of one (C,H,W) sample by
+    explicit loops over output positions, for the output gradient `g`."""
+    c_out, c, l, _ = k.shape
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    h_out, w_out = ad.conv2d_extents(6, 7, 3, stride, pad)
-    ref = np.zeros((3, h_out, w_out))
-    for o in range(3):
+    dxp, dk = np.zeros_like(xp), np.zeros_like(k)
+    h_out, w_out = ad.conv2d_extents(x.shape[1], x.shape[2], l, stride, pad)
+    out = np.zeros((c_out, h_out, w_out))
+    for o in range(c_out):
         for i in range(h_out):
             for j in range(w_out):
-                patch = xp[:, i * stride:i * stride + 3, j * stride:j * stride + 3]
-                ref[o, i, j] = np.sum(patch * k[o])
-    assert np.allclose(out, ref)
+                win = (slice(None), slice(i * stride, i * stride + l),
+                       slice(j * stride, j * stride + l))
+                out[o, i, j] = np.sum(xp[win] * k[o])
+                dxp[win] += g[o, i, j] * k[o]
+                dk[o] += g[o, i, j] * xp[win]
+    return out, dxp[:, pad:pad + x.shape[1], pad:pad + x.shape[2]], dk
+
+
+def test_conv2d_matches_naive_loop():
+    """Forward, dx and dk against loops, batched and unbatched, including
+    stride > kernel and taps that fall wholly in the padding."""
+    rng = np.random.default_rng(3)
+    for shape in ((2, 6, 7), (3, 2, 6, 7)):
+        for l, stride, pad in ((3, 2, 1), (3, 1, 0), (2, 3, 1), (3, 2, 3),
+                               (1, 2, 2)):
+            x = rng.standard_normal(shape)
+            k = rng.standard_normal((3, 2, l, l))
+            xt, kt = Tensor(x), Tensor(k)
+            out = ad.conv2d(xt, kt, stride, pad)
+            g = rng.standard_normal(out.shape)
+            out.backward(g)
+
+            samples = [_naive_conv2d(xs, k, stride, pad, gs)
+                       for xs, gs in zip(x.reshape((-1, 2, 6, 7)),
+                                         g.reshape((-1,) + g.shape[-3:]))]
+            ref_out, ref_dx, ref_dk = (np.stack([s[i] for s in samples])
+                                       for i in range(3))
+            assert np.allclose(out.value, ref_out.reshape(out.shape))
+            assert np.allclose(xt.grad, ref_dx.reshape(shape))
+            assert np.allclose(kt.grad, ref_dk.sum(axis=0))
+
+
+@pytest.mark.parametrize("stride,pad", [(0, 1), (-1, 0), (1, -1)])
+def test_conv2d_rejects_bad_stride_or_padding(stride, pad):
+    with pytest.raises(ad.ShapeError, match="stride"):
+        ad.conv2d(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))),
+                  stride, pad)
 
 
 def test_conv2d_kernel_gradient_fd():

@@ -141,6 +141,28 @@ def test_config_component_rejection_is_config_error():
         parse_config("gamma = 1.5\n")
 
 
+@pytest.mark.parametrize("text,key", [
+    ("conv_stride = 0", "conv_stride"),
+    ("conv_kernel = 0", "conv_kernel"),
+    ("m_population = 0", "m_population"),
+    ("fc_hidden = 0", "fc_hidden"),
+    ("t_steps = -1", "t_steps"),
+    ("conv_channels = 8,0", "conv_channels"),
+    ("conv_channels = ", "conv_channels"),
+    ("conv_padding = -1", "padding -1"),
+    ("conv_kernel = 40", "kernel 40 exceeds"),
+    ("batch = 0", "batch"),
+    ("train_every = 0", "train_every"),
+    ("target_update_every = 0", "target_update_every"),
+    ("checkpoint_every = 0", "checkpoint_every"),
+])
+def test_config_rejects_sizes_and_periods_below_one(text, key):
+    # each of these used to parse and fail only at network build or in
+    # the training loop
+    with pytest.raises(ConfigError, match=key):
+        parse_config(text + "\n")
+
+
 def test_config_heads_must_divide_embedding_width():
     # caught at parse time, not when the network is built
     with pytest.raises(ConfigError, match="n_heads 3"):

@@ -1,4 +1,6 @@
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +221,30 @@ def test_forward_pin(variant):
     for b in (1, 3):
         digest.update(net.forward(bev[:b], lidar[:b])[0].value.tobytes())
     assert digest.hexdigest()[:16] == FORWARD_PINS[variant]
+
+
+# Per-parameter gradient norms of sum(Q * w) for the forward-pin inputs,
+# recorded on the im2col/col2im kernels this patch-index conv2d replaced;
+# kernel rewrites may reorder sums but must stay within rtol 1e-10.
+BACKWARD_PINS = json.loads(
+    (Path(__file__).parent / "backward_pins.json").read_text())
+
+
+@pytest.mark.parametrize("variant", list(BACKWARD_PINS))
+def test_backward_pin(variant):
+    net = QNetwork(_variant_cfg(variant, obs_hw=(12, 12), conv_channels=(4, 8),
+                                fc_hidden=32, t_steps=4, seed=3))
+    rng = np.random.default_rng(11)
+    bev, lidar = rng.random((3, 1, 12, 12)), rng.random((3, 1, 12, 12))
+    lidar[lidar < 0.7] = 0.0
+    q, _ = net.forward(bev, lidar)
+    ad.tsum(q * rng.standard_normal(q.shape)).backward()
+    norms = {name: float(np.linalg.norm(p.grad))
+             for name, p in net.named_parameters().items()}
+    pins = BACKWARD_PINS[variant]
+    assert norms.keys() == pins.keys()
+    for name, norm in norms.items():
+        assert norm == pytest.approx(pins[name], rel=1e-10, abs=0), name
 
 
 def test_copy_parameters_and_digest():
