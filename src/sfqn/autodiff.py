@@ -492,9 +492,15 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
 # spike nonlinearity
 # ---------------------------------------------------------------------------
 
-def arctan_surrogate_grad(u: np.ndarray, alpha: float) -> np.ndarray:
-    """Derivative of (1/pi) arctan(pi*alpha*u/2) + 1/2 at u (u = v - threshold)."""
-    return (alpha / 2.0) / (1.0 + (math.pi * alpha * u / 2.0) ** 2)
+def arctan_surrogate_grad(u: np.ndarray, alpha: float,
+                          out: np.ndarray | None = None) -> np.ndarray:
+    """Derivative of (1/pi) arctan(pi*alpha*u/2) + 1/2 at u (u = v - threshold).
+
+    With `out` (which may be `u` itself) every step writes there and
+    nothing is allocated."""
+    z = np.multiply(math.pi * alpha, u, out=out)
+    z = np.square(np.divide(z, 2.0, out=out), out=out)
+    return np.divide(alpha / 2.0, np.add(z, 1.0, out=out), out=out)
 
 
 def arctan_surrogate(u: np.ndarray, alpha: float) -> np.ndarray:
@@ -534,6 +540,22 @@ def surrogate_spike_below(u, threshold: float, alpha: float = 2.0) -> Tensor:
     return Tensor(out_val, (u,), backward)
 
 
+# Neurons per block of `spike_recurrence`: a block's buffers (256 KiB each
+# in float64) stay in a 2 MiB per-core L2 cache across all T steps.
+SPIKE_BLOCK = 1 << 15
+
+
+def _fire(v: np.ndarray, theta: float, out: np.ndarray, alpha: float,
+          below: bool = False) -> None:
+    """Spikes of membrane `v` into `out`: v >= theta (v <= theta if
+    `below`), or the smooth surrogate under `soft_spike_forward`."""
+    if _Flags.soft_spike:
+        np.copyto(out, arctan_surrogate(theta - v if below else v - theta,
+                                        alpha))
+    else:
+        (np.less_equal if below else np.greater_equal)(v, theta, out=out)
+
+
 def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
                      theta_neg: float | None = None, tau: float | None = None,
                      alpha: float = 2.0) -> Tensor:
@@ -546,8 +568,15 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
     `theta_neg`, the reset membrane then emits -1 at v <= theta_neg and
     subtracts theta_neg.  This is the per-step graph of `surrogate_spike`
     and `surrogate_spike_below` fused into one node: forward keeps only the
-    pre-threshold membranes, and backward runs backpropagation through time
-    with the arctangent surrogate derivative, reset path included.
+    pre-threshold membranes (none under `no_grad`), and backward runs
+    backpropagation through time with the arctangent surrogate derivative,
+    reset path included.
+
+    Both directions run all T steps over one block of whole samples (about
+    SPIKE_BLOCK neurons) before the next, and every op writes into the
+    output or into block-sized buffers reused across blocks and steps.  The
+    per-element operations and their order are those of the per-step graph,
+    so results are bitwise equal to it.
     """
     if alpha <= 0:
         raise ValueError("surrogate alpha must be positive")
@@ -555,47 +584,66 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
     if t_steps < 1 or not x.shape or x.shape[0] % t_steps:
         raise ShapeError(f"leading axis of {x.shape} is not a multiple of "
                          f"{t_steps} steps")
+    # splitting the leading axis is a view, also of a non-contiguous input
     xs = x.value.reshape((t_steps, -1) + x.shape[1:])
+    shape = xs.shape
     decay = None if tau is None else 1.0 / tau
-    soft = _Flags.soft_spike
-    pre_pos = np.empty_like(xs)         # membrane before each threshold test
-    pre_neg = np.empty_like(xs) if theta_neg is not None else None
-    spikes = []
-    v = np.zeros(xs.shape[1:])
-    for t, x_t in enumerate(xs):
-        v = np.add(v, x_t if decay is None else (x_t - v) * decay,
-                   out=pre_pos[t])
-        s = (arctan_surrogate(v - theta_pos, alpha) if soft
-             else (v >= theta_pos).astype(np.float64))
-        v = v - s * theta_pos
-        if theta_neg is not None:
-            pre_neg[t] = v
-            s_neg = (arctan_surrogate(theta_neg - v, alpha) if soft
-                     else (v <= theta_neg).astype(np.float64))
-            v = v - s_neg * theta_neg
-            s = s - s_neg
-        spikes.append(s)
+    # blocks of whole samples, `step` samples (about SPIKE_BLOCK neurons) each
+    step = max(1, min(shape[1], SPIKE_BLOCK // max(1, math.prod(shape[2:]))))
+    blocks = [slice(b, min(b + step, shape[1]))
+              for b in range(0, shape[1], step)]
+    spikes = np.empty(shape)
+    # membranes before each threshold test, kept only for backward
+    pre_pos = np.empty(shape) if _Flags.grad else None
+    pre_neg = np.empty(shape) if _Flags.grad and theta_neg is not None else None
+    bufs = np.empty((2, step) + shape[2:])
+    for blk in blocks:
+        v, tmp = bufs[:, :blk.stop - blk.start]
+        v.fill(0.0)
+        for t, x_t in enumerate(xs[:, blk]):
+            pre = v if pre_pos is None else pre_pos[t, blk]
+            if decay is None:
+                np.add(v, x_t, out=pre)
+            else:
+                np.multiply(np.subtract(x_t, v, out=tmp), decay, out=tmp)
+                np.add(v, tmp, out=pre)
+            s = spikes[t, blk]
+            _fire(pre, theta_pos, s, alpha)
+            mid = v if pre_neg is None else pre_neg[t, blk]
+            np.subtract(pre, np.multiply(s, theta_pos, out=tmp), out=mid)
+            if theta_neg is not None:
+                _fire(mid, theta_neg, tmp, alpha, below=True)
+                np.subtract(s, tmp, out=s)
+                np.subtract(mid, np.multiply(tmp, theta_neg, out=tmp), out=v)
 
     def backward(g):
-        g = g.reshape(xs.shape)
-        dx = np.empty_like(xs)
-        dv = 0.0                       # dL/d(membrane after step t)
-        for t in reversed(range(t_steps)):
-            if theta_neg is not None:
-                ds_neg = -g[t] - dv * theta_neg
-                dv = dv - ds_neg * arctan_surrogate_grad(
-                    theta_neg - pre_neg[t], alpha)
-            ds_pos = g[t] - dv * theta_pos
-            dv = dv + ds_pos * arctan_surrogate_grad(pre_pos[t] - theta_pos,
-                                                     alpha)
-            if decay is None:
-                dx[t] = dv
-            else:
-                dx[t] = dv * decay
-                dv = dv - dx[t]
+        g = g.reshape(shape)
+        dx = np.empty(shape)
+        bufs = np.empty((3, step) + shape[2:])
+        for blk in blocks:
+            dv, ds, tmp = bufs[:, :blk.stop - blk.start]
+            dv.fill(0.0)               # dL/d(membrane after step t)
+            for t in reversed(range(t_steps)):
+                if theta_neg is not None:
+                    np.subtract(np.negative(g[t, blk], out=ds),
+                                np.multiply(dv, theta_neg, out=tmp), out=ds)
+                    np.subtract(theta_neg, pre_neg[t, blk], out=tmp)
+                    np.multiply(ds, arctan_surrogate_grad(tmp, alpha, tmp),
+                                out=ds)
+                    np.subtract(dv, ds, out=dv)
+                np.subtract(g[t, blk], np.multiply(dv, theta_pos, out=tmp),
+                            out=ds)
+                np.subtract(pre_pos[t, blk], theta_pos, out=tmp)
+                np.multiply(ds, arctan_surrogate_grad(tmp, alpha, tmp), out=ds)
+                np.add(dv, ds, out=dv)
+                if decay is None:
+                    np.copyto(dx[t, blk], dv)
+                else:
+                    np.multiply(dv, decay, out=dx[t, blk])
+                    np.subtract(dv, dx[t, blk], out=dv)
         _acc(x, dx.reshape(x.shape))
 
-    return Tensor(np.concatenate(spikes), (x,), backward)
+    return Tensor(spikes.reshape(x.shape), (x,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,10 @@ class NetworkConfig:
             if min(np.ravel(getattr(self, name)), default=0) < 1]
         if small:
             raise ValueError(f"sizes must be at least 1: {', '.join(small)}")
+        nonpositive = [name for name in ("tau_m", "surrogate_alpha")
+                       if not getattr(self, name) > 0]
+        if nonpositive:
+            raise ValueError(f"must be positive: {', '.join(nonpositive)}")
         if self.c_emb % self.n_heads:
             raise ValueError(f"c_emb {self.c_emb} does not split into "
                              f"n_heads {self.n_heads} equal heads")

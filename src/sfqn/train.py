@@ -108,10 +108,15 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0,1)")
-        if min(self.batch, self.target_update_every, self.train_every,
-               self.checkpoint_every) < 1:
-            raise ValueError("batch, target_update_every, train_every and "
-                             "checkpoint_every must be at least 1")
+        small = [name for name in (
+            "batch", "buffer_capacity", "target_update_every", "train_every",
+            "checkpoint_every", "eval_episodes") if getattr(self, name) < 1]
+        if small:
+            raise ValueError(f"must be at least 1: {', '.join(small)}")
+        outside = [name for name in ("eps_start", "eps_end")
+                   if not 0.0 <= getattr(self, name) <= 1.0]
+        if outside:
+            raise ValueError(f"must lie in [0,1]: {', '.join(outside)}")
 
     def epsilon(self, step: int) -> float:
         span = max(1, int(self.eps_fraction * self.total_steps))

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,15 +181,11 @@ def _per_step_reference(xs, theta_pos, theta_neg, tau, alpha):
     return spikes
 
 
-@pytest.mark.parametrize("soft", [False, True])
-@pytest.mark.parametrize("b", [1, 3])
-@pytest.mark.parametrize("t", [1, 2, 5])
-@pytest.mark.parametrize("kind", list(NEURON_KINDS))
-def test_spike_recurrence_matches_per_step_graph(kind, t, b, soft):
+def _check_against_per_step_graph(x, t, b, kind, soft, seed):
+    """Fused spikes equal the per-step graph's (bitwise for hard spikes),
+    the input gradient agrees within 1e-12, and a `no_grad` forward gives
+    bitwise the graph-mode spikes."""
     theta_pos, theta_neg, tau = NEURON_KINDS[kind]
-    rng = np.random.default_rng(t * 10 + b)
-    x = rng.normal(0.5, 6.0, (t * b, 2, 3))
-    seed = rng.standard_normal(x.shape)
     with ad.soft_spike_forward() if soft else contextlib.nullcontext():
         leaves = [Tensor(x[i * b:(i + 1) * b]) for i in range(t)]
         ref = _per_step_reference(leaves, theta_pos, theta_neg, tau, 2.0)
@@ -196,6 +193,9 @@ def test_spike_recurrence_matches_per_step_graph(kind, t, b, soft):
         fused_in = Tensor(x)
         fused = ad.spike_recurrence(fused_in, t, theta_pos, theta_neg, tau, 2.0)
         ad.tsum(fused * seed).backward()
+        with ad.no_grad():
+            inferred = ad.spike_recurrence(x, t, theta_pos, theta_neg, tau, 2.0)
+    assert np.array_equal(inferred.value, fused.value)
     ref_out = np.concatenate([s.value for s in ref])
     ref_grad = np.concatenate([leaf.grad for leaf in leaves])
     if soft:
@@ -206,6 +206,72 @@ def test_spike_recurrence_matches_per_step_graph(kind, t, b, soft):
     scale = np.max(np.abs(ref_grad))
     assert scale > 0
     assert np.max(np.abs(fused_in.grad - ref_grad)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("t", [1, 2, 5])
+@pytest.mark.parametrize("kind", list(NEURON_KINDS))
+def test_spike_recurrence_matches_per_step_graph(kind, t, b, soft):
+    rng = np.random.default_rng(t * 10 + b)
+    x = rng.normal(0.5, 6.0, (t * b, 2, 3))
+    _check_against_per_step_graph(x, t, b, kind, soft,
+                                  rng.standard_normal(x.shape))
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("kind", list(NEURON_KINDS))
+@pytest.mark.parametrize("block", [6, 12])
+def test_spike_recurrence_blocks_match_per_step_graph(monkeypatch, block, kind,
+                                                      soft, transposed):
+    # 6 neurons per sample: blocks of 1 sample, or of 2, 2 and a remainder 1
+    monkeypatch.setattr(ad, "SPIKE_BLOCK", block)
+    t, b = 3, 5
+    rng = np.random.default_rng(block)
+    x = rng.normal(0.5, 6.0, (t * b, 2, 3))
+    if transposed:              # same values, not C-contiguous
+        x = np.ascontiguousarray(x.transpose(2, 1, 0)).transpose(2, 1, 0)
+        assert not x.flags.c_contiguous
+    _check_against_per_step_graph(x, t, b, kind, soft,
+                                  rng.standard_normal(x.shape))
+
+
+def test_spike_recurrence_allocates_no_full_size_temporaries():
+    # numpy reports its buffers to tracemalloc.  Each full-size array is
+    # 4 MiB; the slack allows a few block buffers but not one more array.
+    t, b = 4, 16
+    rng = np.random.default_rng(0)
+    x = rng.normal(0.5, 3.0, (t * b, 32, 16, 16))
+    x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    seed = np.ones(x.shape)
+    full, slack = x.nbytes, 8 * 8 * ad.SPIKE_BLOCK
+    assert slack < full
+
+    def peak(run):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = run()
+        return tracemalloc.get_traced_memory()[1] - start, out
+
+    tracemalloc.start()
+    try:
+        for kind in ("binary", "ternary", "if"):
+            theta_pos, theta_neg, tau = NEURON_KINDS[kind]
+            saved = 1 if theta_neg is None else 2     # pre_pos (+ pre_neg)
+            with ad.no_grad():
+                used, _ = peak(lambda: ad.spike_recurrence(
+                    x, t, theta_pos, theta_neg, tau))
+            assert used <= full + slack, kind
+            xt = Tensor(x)
+            used, out = peak(lambda: ad.spike_recurrence(
+                xt, t, theta_pos, theta_neg, tau))
+            assert used <= (1 + saved) * full + slack, kind
+            used, _ = peak(lambda: out.backward(seed))
+            assert used <= full + slack, kind          # dx only
+            del out, xt
+    finally:
+        tracemalloc.stop()
 
 
 def test_spike_recurrence_leading_axis_must_divide_by_t():

@@ -155,6 +155,13 @@ def test_config_component_rejection_is_config_error():
     ("train_every = 0", "train_every"),
     ("target_update_every = 0", "target_update_every"),
     ("checkpoint_every = 0", "checkpoint_every"),
+    ("tau_m = 0", "tau_m"),
+    ("tau_m = -2", "tau_m"),
+    ("surrogate_alpha = 0", "surrogate_alpha"),
+    ("eval_episodes = 0", "eval_episodes"),
+    ("buffer_capacity = 0", "buffer_capacity"),
+    ("eps_start = 1.5", "eps_start"),
+    ("eps_end = -0.1", "eps_end"),
 ])
 def test_config_rejects_sizes_and_periods_below_one(text, key):
     # each of these used to parse and fail only at network build or in
