@@ -1,7 +1,11 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from sfqn.autodiff import Tensor
+from sfqn.config import ABLATION_MATRIX, parse_config
 from sfqn.highway import FASTER, HighwayConfig, HighwayEnv
 from sfqn.qnet import N_ACTIONS, NetworkConfig, QNetwork
 from sfqn.train import (Adam, MetricsRow, ReplayBuffer, TrainConfig,
@@ -226,6 +230,36 @@ def test_run_training_reproducible_and_checkpoints(tmp_path):
     assert all(np.isfinite(r.train_loss) for r in rows1)
     assert (tmp_path / "t_step30.sfqn").exists()
     assert (tmp_path / "t_step60.sfqn").exists()
+
+
+# A short run of every variant on a tiny grid: sha256 prefixes of the final
+# parameter digest and of the metrics rows.  Training is bit-reproducible,
+# so any change here is a change in behaviour.  On this grid the `fuzzy`
+# and `gaussian` heads stay silent (their rows coincide), while Q of
+# `fuzzy_ws`, `rate` and `nonspiking` depends on the input; the surrogate
+# gradient still trains every parameter of the silent variants.
+RUN_CFG = parse_config(
+    "grid_size = 8\nconv_channels = 2,4\nc_emb = 8\nn_heads = 2\nd_ff = 16\n"
+    "fc_hidden = 16\ndec_hidden = 8\nt_steps = 2\nbatch = 8\n"
+    "buffer_capacity = 200\ntarget_update_every = 20\ntotal_steps = 60\n"
+    "warmup_steps = 10\ncheckpoint_every = 30\neval_episodes = 2\n"
+    "horizon = 20\nn_vehicles = 3\nlidar_sectors = 8\n")
+RUN_PINS = {
+    "fuzzy": ("4a80f48ccbb83dd8", "388ff6d79f157ab3"),
+    "fuzzy_ws": ("4820180fea9f40b1", "54cdcb37d963514b"),
+    "nonspiking": ("68bcc1584cb2c2f3", "5fef944d1e28d0e1"),
+    "gaussian": ("27022adf9bb3df8f", "388ff6d79f157ab3"),
+    "rate": ("7e6c849928807e36", "f0651e7ac5f7c1bd"),
+}
+
+
+@pytest.mark.parametrize("variant", ABLATION_MATRIX)
+def test_run_training_golden_pin(variant):
+    net = QNetwork(RUN_CFG.network_config(0, variant))
+    rows = run_training(net, RUN_CFG.train_config(3), RUN_CFG.env_config())
+    rows_sha = hashlib.sha256(
+        repr([dataclasses.astuple(r) for r in rows]).encode()).hexdigest()
+    assert (net.parameter_digest()[:16], rows_sha[:16]) == RUN_PINS[variant]
 
 
 def test_write_metrics_layout(tmp_path):
