@@ -25,10 +25,6 @@ class CapacityReport:
     def pop_over_rate(self) -> float:
         return self.pop_bits / self.rate_bits
 
-    @property
-    def rate_over_raw(self) -> float:
-        return self.rate_bits / self.raw_bits
-
 
 def capacity(c: int, h: int, w: int, t: int, n: int, m: int) -> CapacityReport:
     for name, v in (("C", c), ("H", h), ("W", w), ("T", t), ("N", n), ("M", m)):
@@ -56,7 +52,7 @@ class ConvSpec:
 class CostReport:
     fuzzy_encoder: int       # c * N * h * w
     rate_encoder: int        # always 0: comparisons only
-    first_conv: int          # c_out * c * l^2 * h_out * w_out (non-encoded)
+    first_conv: int          # c_out * c * l^2 * h_out * w_out over c channels
     decoder_overhead: int    # M * |A|
 
 

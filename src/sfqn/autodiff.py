@@ -17,6 +17,7 @@ number of scalar multiplications they execute while it is armed.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Sequence
 
@@ -34,41 +35,6 @@ class NumericError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# multiplication counter
-# ---------------------------------------------------------------------------
-
-class MultCounter:
-    """Counts scalar multiplications executed by instrumented kernels.
-
-    Use as a context manager; nesting is not supported (inner counter wins).
-    """
-
-    _active = None
-
-    def __init__(self):
-        self.mults = 0
-
-    def __enter__(self):
-        self._prev = MultCounter._active
-        MultCounter._active = self
-        return self
-
-    def __exit__(self, *exc):
-        MultCounter._active = self._prev
-        return False
-
-
-def count_mults() -> MultCounter:
-    return MultCounter()
-
-
-def record_mults(n: int) -> None:
-    c = MultCounter._active
-    if c is not None:
-        c.mults += int(n)
-
-
-# ---------------------------------------------------------------------------
 # tensor
 # ---------------------------------------------------------------------------
 
@@ -79,41 +45,57 @@ def _as_array(value) -> np.ndarray:
     return arr
 
 
+class MultCounter:
+    """Scalar multiplications executed by instrumented kernels inside one
+    `count_mults()` block."""
+
+    def __init__(self):
+        self.mults = 0
+
+
 class _Flags:
-    """Process-wide switches set by the `soft_spike_forward` and `no_grad`
-    context managers."""
+    """Process-wide switches set by the `soft_spike_forward`, `no_grad` and
+    `count_mults` context managers."""
     soft_spike = False
     grad = True
+    counter: MultCounter | None = None
 
 
-class _set_flag:
-    """Context manager: set one `_Flags` switch for the duration of a block
-    and restore its previous value on exit, also after an exception."""
-
-    def __init__(self, name: str, value: bool):
-        self.name, self.value = name, value
-
-    def __enter__(self):
-        self._prev = getattr(_Flags, self.name)
-        setattr(_Flags, self.name, self.value)
-        return self
-
-    def __exit__(self, *exc):
-        setattr(_Flags, self.name, self._prev)
-        return False
+@contextlib.contextmanager
+def _set_flag(name: str, value):
+    """Set one `_Flags` switch for the duration of a block and restore its
+    previous value on exit, also after an exception; yields `value`."""
+    prev = getattr(_Flags, name)
+    setattr(_Flags, name, value)
+    try:
+        yield value
+    finally:
+        setattr(_Flags, name, prev)
 
 
-def no_grad() -> _set_flag:
+def no_grad():
     """Ops inside the block record no parents or backward closures, so the
     outputs are plain values and no graph is kept alive."""
     return _set_flag("grad", False)
 
 
-def soft_spike_forward() -> _set_flag:
+def soft_spike_forward():
     """Spike ops forward the smooth surrogate instead of the hard Heaviside,
     so finite differences agree with the surrogate backward.  Used only by
     gradient checks."""
     return _set_flag("soft_spike", True)
+
+
+def count_mults():
+    """Count the block's multiplications into the `MultCounter` it binds;
+    a nested block counts alone, and the outer one resumes after it."""
+    return _set_flag("counter", MultCounter())
+
+
+def record_mults(n: int) -> None:
+    c = _Flags.counter
+    if c is not None:
+        c.mults += int(n)
 
 
 class Tensor:
@@ -317,10 +299,8 @@ def exp(a) -> Tensor:
     return Tensor(out_val, (a,), backward)
 
 
-def minimum(a, b) -> Tensor:
-    """Elementwise min; ties route the gradient to the first argument."""
-    a, b = as_tensor(a), as_tensor(b)
-    take_a = a.value <= b.value
+def _select(a: Tensor, b: Tensor, take_a: np.ndarray) -> Tensor:
+    """`a` where `take_a`, else `b`; the gradient follows the choice."""
     out_val = np.where(take_a, a.value, b.value)
 
     def backward(g):
@@ -328,19 +308,18 @@ def minimum(a, b) -> Tensor:
         _acc(b, _unbroadcast(g * ~take_a, b.value.shape))
 
     return Tensor(out_val, (a, b), backward)
+
+
+def minimum(a, b) -> Tensor:
+    """Elementwise min; ties route the gradient to the first argument."""
+    a, b = as_tensor(a), as_tensor(b)
+    return _select(a, b, a.value <= b.value)
 
 
 def maximum(a, b) -> Tensor:
     """Elementwise max; ties route the gradient to the first argument."""
     a, b = as_tensor(a), as_tensor(b)
-    take_a = a.value >= b.value
-    out_val = np.where(take_a, a.value, b.value)
-
-    def backward(g):
-        _acc(a, _unbroadcast(g * take_a, a.value.shape))
-        _acc(b, _unbroadcast(g * ~take_a, b.value.shape))
-
-    return Tensor(out_val, (a, b), backward)
+    return _select(a, b, a.value >= b.value)
 
 
 # ---------------------------------------------------------------------------
@@ -525,19 +504,9 @@ def surrogate_spike(u, threshold: float = 1.0, alpha: float = 2.0) -> Tensor:
 
 
 def surrogate_spike_below(u, threshold: float, alpha: float = 2.0) -> Tensor:
-    """Heaviside(threshold - u): fires 1 when u <= threshold (ternary negative arm)."""
-    if alpha <= 0:
-        raise ValueError("surrogate alpha must be positive")
-    u = as_tensor(u)
-    if _Flags.soft_spike:
-        out_val = arctan_surrogate(threshold - u.value, alpha)
-    else:
-        out_val = (u.value <= threshold).astype(np.float64)
-
-    def backward(g):
-        _acc(u, -g * arctan_surrogate_grad(threshold - u.value, alpha))
-
-    return Tensor(out_val, (u,), backward)
+    """Heaviside(threshold - u): fires 1 when u <= threshold (ternary
+    negative arm), as `surrogate_spike` of -u at -threshold."""
+    return surrogate_spike(-as_tensor(u), -threshold, alpha)
 
 
 # Neurons per block of `spike_recurrence`: a block's buffers (256 KiB each

@@ -83,50 +83,41 @@ def cmd_ablate(args) -> int:
     path = out_dir / "ablation.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("variant",) + MetricsRow.FIELDS)
+        writer.writerow(["variant"] + [f.name for f in
+                                       dataclasses.fields(MetricsRow)])
         for variant in ABLATION_MATRIX:
             for row in _train_variant(cfg, variant, out_dir, not args.quiet):
-                writer.writerow([variant] + row.as_list())
+                writer.writerow((variant,) + dataclasses.astuple(row))
     print(f"wrote {path}")
+    return 0
+
+
+def _print_table(rows, header, csv_path) -> int:
+    """(name, value) rows as an aligned table, and as CSV if asked."""
+    width = max(len(k) for k, _ in rows)
+    for key, value in rows:
+        print(f"{key:<{width}}  {value}")
+    if csv_path:
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
     return 0
 
 
 def cmd_analyze_capacity(args) -> int:
     report = capacity(args.c, args.height, args.width, args.t, args.n, args.m)
-    rows = [("raw_bits", report.raw_bits),
-            ("rate_bits", report.rate_bits),
-            ("pop_bits", report.pop_bits),
-            ("q_raw_bits", report.q_raw_bits),
-            ("q_pop_bits", report.q_pop_bits),
-            ("pop_over_rate", report.pop_over_rate)]
-    width = max(len(k) for k, _ in rows)
-    for key, value in rows:
-        print(f"{key:<{width}}  {value}")
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["quantity", "value"])
-            writer.writerows(rows)
-    return 0
+    rows = list(dataclasses.asdict(report).items())
+    return _print_table(rows + [("pop_over_rate", report.pop_over_rate)],
+                        ["quantity", "value"], args.csv)
 
 
 def cmd_analyze_cost(args) -> int:
     conv = ConvSpec(args.c_out, args.kernel, args.stride, args.padding)
     report = cost_model(args.c, args.height, args.width, conv, args.n,
                         args.m, args.actions)
-    rows = [("fuzzy_encoder", report.fuzzy_encoder),
-            ("rate_encoder", report.rate_encoder),
-            ("first_conv", report.first_conv),
-            ("decoder_overhead", report.decoder_overhead)]
-    width = max(len(k) for k, _ in rows)
-    for key, value in rows:
-        print(f"{key:<{width}}  {value}")
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["stage", "multiplications"])
-            writer.writerows(rows)
-    return 0
+    return _print_table(list(dataclasses.asdict(report).items()),
+                        ["stage", "multiplications"], args.csv)
 
 
 def cmd_plot_membership(args) -> int:

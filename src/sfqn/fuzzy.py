@@ -74,14 +74,6 @@ class MembershipBank(ad.Module):
         c = b + ad.exp(self._log_bc)
         return a, b, c
 
-    def abc_values(self) -> np.ndarray:
-        a, b, c = self.abc()
-        return np.stack([a.value, b.value, c.value], axis=1)
-
-    def mean_sigma_values(self) -> np.ndarray:
-        return np.stack([self._mean.value, np.exp(self._log_sigma.value)],
-                        axis=1)
-
 
 def membership_eval(bank: MembershipBank, p) -> Tensor:
     """Membership degrees of `p` (scalar or array, clamped to [0,1]).

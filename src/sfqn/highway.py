@@ -40,6 +40,26 @@ class HighwayConfig:
     spawn_range: float = 100.0
     spawn_min_gap: float = 12.0
 
+    def __post_init__(self):
+        small = [name for name in ("lanes", "lane_change_steps", "horizon",
+                                   "grid_size", "lidar_sectors")
+                 if getattr(self, name) < 1]
+        if small:
+            raise ValueError(f"must be at least 1: {', '.join(small)}")
+        nonpositive = [name for name in ("lane_width", "dt", "dv",
+                                         "vehicle_length", "resolution")
+                       if not getattr(self, name) > 0]
+        if nonpositive:
+            raise ValueError(f"must be positive: {', '.join(nonpositive)}")
+        if self.n_vehicles < 0:
+            raise ValueError("n_vehicles must be at least 0")
+        # spawns draw speeds from [v_min + 2, v_max - 2] and distances from
+        # [spawn_min_gap + vehicle_length, spawn_range]
+        if not self.v_min + 2.0 <= self.v_max - 2.0:
+            raise ValueError("v_min + 2 > v_max - 2 leaves no spawn speed")
+        if not self.spawn_range >= self.spawn_min_gap + self.vehicle_length:
+            raise ValueError("spawn_range < spawn_min_gap + vehicle_length")
+
 
 @dataclass
 class VehicleState:

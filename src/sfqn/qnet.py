@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import fuzzy, snn
+from .analysis import ConvSpec, cost_model
 from .autodiff import Tensor
 from .checkpoint import CheckpointFormatError, load_records, save_records
 from .highway import ACTION_NAMES
@@ -301,25 +302,10 @@ class QNetwork:
 # multiplication accounting
 # ---------------------------------------------------------------------------
 
-def analytic_encoder_mults(cfg: NetworkConfig) -> int:
-    c, (h, w) = cfg.obs_channels, cfg.obs_hw
-    if cfg.encoder == "fuzzy":
-        per_eval = 1 if cfg.membership_kind == fuzzy.TRIANGULAR else 2
-        return per_eval * c * cfg.n_membership * h * w
-    return 0   # rate coding is comparison-only; 'none' has no encoder
-
-
-def analytic_first_conv_mults(cfg: NetworkConfig) -> int:
-    c = cfg.conv_input_channels()
-    h, w = cfg.obs_hw
-    h_out, w_out = ad.conv2d_extents(h, w, cfg.conv_kernel, cfg.conv_stride,
-                                     cfg.conv_padding)
-    return cfg.conv_channels[0] * c * cfg.conv_kernel ** 2 * h_out * w_out
-
-
 def count_multiplications(net: QNetwork, obs: dict | None = None) -> dict:
-    """Per-stage multiply counts: analytic closed forms next to counters
-    measured on an instrumented single-observation forward of each stage."""
+    """Per-stage multiply counts: the closed forms of `analysis.cost_model`
+    (the table `sfqn analyze-cost` prints) next to counters measured on an
+    instrumented single-observation forward of each stage."""
     cfg = net.cfg
     h, w = cfg.obs_hw
     rng = np.random.default_rng(0)
@@ -337,11 +323,23 @@ def count_multiplications(net: QNetwork, obs: dict | None = None) -> dict:
         ad.conv2d(first_in, first.kernels, first.stride, first.padding)
     measured_conv = c.mults
 
+    # The encoder is costed per image channel, and the first conv over the
+    # encoder's output channels.  Rate coding is comparison-only and 'none'
+    # has no encoder; a Gaussian degree costs two multiplications.
+    conv = ConvSpec(cfg.conv_channels[0], cfg.conv_kernel, cfg.conv_stride,
+                    cfg.conv_padding)
+    per_image, expanded = (cost_model(channels, h, w, conv, cfg.n_membership,
+                                      cfg.m_population, N_ACTIONS)
+                           for channels in (cfg.obs_channels,
+                                            cfg.conv_input_channels()))
+    per_degree = 2 if cfg.membership_kind == fuzzy.GAUSSIAN else 1
     return {
-        "encoder": {"analytic": analytic_encoder_mults(cfg),
+        "encoder": {"analytic": (per_image.fuzzy_encoder * per_degree
+                                 if cfg.encoder == "fuzzy"
+                                 else per_image.rate_encoder),
                     "measured": measured_enc},
-        "first_conv": {"analytic": analytic_first_conv_mults(cfg),
+        "first_conv": {"analytic": expanded.first_conv,
                        "measured": measured_conv},
-        "decoder_overhead": (cfg.m_population * N_ACTIONS
+        "decoder_overhead": (per_image.decoder_overhead
                              if cfg.decoder == "neural" else 0),
     }

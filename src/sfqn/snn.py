@@ -142,14 +142,9 @@ class CrossFusionLayer(ad.Module):
         self.c_emb = c_emb
         self.n_heads = n_heads
         self.d_head = c_emb // n_heads
-        qk_spec = replace(neuron, theta_neg=theta_neg)
-        self.proj = {}
-        self.qk_neurons = {}
-        for name in ("q1", "k2", "v2", "q2", "k1", "v1"):
-            self.proj[name] = Tensor(_uniform(rng, (c_emb, c_emb), c_emb, gain),
-                                     name=f"cfl_{name}")
-            if name[0] in "qk":
-                self.qk_neurons[name] = Neuron(qk_spec)
+        self.proj = {name: Tensor(_uniform(rng, (c_emb, c_emb), c_emb, gain),
+                                  name=f"cfl_{name}")
+                     for name in ("q1", "k2", "v2", "q2", "k1", "v1")}
         self.w_out = Tensor(_uniform(rng, (c_emb, c_emb), c_emb), name="cfl_wo")
         self.ln1_g = Tensor(np.ones(c_emb), name="cfl_ln1_g")
         self.ln1_b = Tensor(np.zeros(c_emb), name="cfl_ln1_b")
@@ -160,10 +155,9 @@ class CrossFusionLayer(ad.Module):
         self.ff_b1 = Tensor(np.zeros(d_ff), name="cfl_ff_b1")
         self.ff_w2 = Tensor(_uniform(rng, (d_ff, c_emb), d_ff), name="cfl_ff_w2")
         self.ff_b2 = Tensor(np.zeros(c_emb), name="cfl_ff_b2")
-        self.att_neuron = Neuron(neuron)
-        self.ff_hidden_neuron = Neuron(neuron)
-        self.out_neuron = Neuron(neuron)
-        self.last_qk: dict[str, np.ndarray] = {}
+        # neurons keep no state: one binary and one ternary rule serve all
+        self.neuron = Neuron(neuron)
+        self.qk_neuron = Neuron(replace(neuron, theta_neg=theta_neg))
 
     def _split_heads(self, x: Tensor) -> Tensor:
         b, n, c = x.shape
@@ -175,12 +169,10 @@ class CrossFusionLayer(ad.Module):
         return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (b, n, h * d))
 
     def _attend(self, tokens_q: Tensor, tokens_kv: Tensor,
-                qn: str, kn: str, vn: str) -> Tensor:
-        q = self.qk_neurons[qn].step(tokens_q @ self.proj[qn])
-        k = self.qk_neurons[kn].step(tokens_kv @ self.proj[kn])
-        self.last_qk[qn] = q.value
-        self.last_qk[kn] = k.value
-        v = tokens_kv @ self.proj[vn]
+                wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
+        q = self.qk_neuron.step(tokens_q @ wq)
+        k = self.qk_neuron.step(tokens_kv @ wk)
+        v = tokens_kv @ wv
         qh, kh, vh = self._split_heads(q), self._split_heads(k), self._split_heads(v)
         scores = (qh @ ad.transpose(kh, (0, 1, 3, 2))) * (1.0 / np.sqrt(self.d_head))
         return self._merge_heads(scores @ vh) @ self.w_out
@@ -188,14 +180,15 @@ class CrossFusionLayer(ad.Module):
     def step(self, e1: Tensor, e2: Tensor) -> Tensor:
         if e1.shape != e2.shape:
             raise ad.ShapeError(f"token shapes differ: {e1.shape} vs {e2.shape}")
-        att = self._attend(e1, e2, "q1", "k2", "v2") \
-            + self._attend(e2, e1, "q2", "k1", "v1")
+        p = self.proj
+        att = self._attend(e1, e2, p["q1"], p["k2"], p["v2"]) \
+            + self._attend(e2, e1, p["q2"], p["k1"], p["v1"])
         res = e1 + e2
-        s_att = self.att_neuron.step(ad.layernorm(att + res, self.ln1_g, self.ln1_b))
-        hidden = self.ff_hidden_neuron.step(s_att @ self.ff_w1 + self.ff_b1)
+        s_att = self.neuron.step(ad.layernorm(att + res, self.ln1_g, self.ln1_b))
+        hidden = self.neuron.step(s_att @ self.ff_w1 + self.ff_b1)
         back = hidden @ self.ff_w2 + self.ff_b2
-        return self.out_neuron.step(ad.layernorm(s_att + back,
-                                                 self.ln2_g, self.ln2_b))
+        return self.neuron.step(ad.layernorm(s_att + back,
+                                             self.ln2_g, self.ln2_b))
 
 
 class FcLifHead(ad.Module):

@@ -9,7 +9,7 @@ end-to-end with the Q-loss.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -108,9 +108,14 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0,1)")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be positive and finite")
+        if not 0 <= self.eps_fraction < np.inf:
+            raise ValueError("eps_fraction must be non-negative and finite")
         small = [name for name in (
             "batch", "buffer_capacity", "target_update_every", "train_every",
-            "checkpoint_every", "eval_episodes") if getattr(self, name) < 1]
+            "checkpoint_every", "eval_episodes", "total_steps")
+            if getattr(self, name) < 1]
         if small:
             raise ValueError(f"must be at least 1: {', '.join(small)}")
         outside = [name for name in ("eps_start", "eps_end")
@@ -226,19 +231,12 @@ class MetricsRow:
     eps: float
     train_loss: float
 
-    FIELDS = ("step", "seed", "avg_reward", "avg_speed", "crash_freq",
-              "eps", "train_loss")
-
-    def as_list(self):
-        return [getattr(self, f) for f in self.FIELDS]
-
 
 def write_metrics(path, rows: list[MetricsRow]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(MetricsRow.FIELDS)
-        for row in rows:
-            writer.writerow(row.as_list())
+        writer.writerow([f.name for f in fields(MetricsRow)])
+        writer.writerows(astuple(row) for row in rows)
 
 
 def run_training(net: QNetwork, cfg: TrainConfig,
@@ -262,17 +260,18 @@ def run_training(net: QNetwork, cfg: TrainConfig,
     env = HighwayEnv(env_cfg)
 
     def new_episode():
-        return env.reset(seed=int(ep_seeds.integers(2 ** 31)))
+        return _obs_dict(env.reset(seed=int(ep_seeds.integers(2 ** 31))))
 
+    # each frame is converted once: next_obs is the next transition's obs
     obs = new_episode()
     last_loss = float("nan")
     rows: list[MetricsRow] = []
     for step in range(1, cfg.total_steps + 1):
         eps = cfg.epsilon(step)
-        obs_d = _obs_dict(obs)
-        action = select_action(net, obs_d, eps, act_rng)
+        action = select_action(net, obs, eps, act_rng)
         nxt, reward, done, _ = env.step(action)
-        buffer.push(Transition(obs_d, action, reward, _obs_dict(nxt), done))
+        nxt = _obs_dict(nxt)
+        buffer.push(Transition(obs, action, reward, nxt, done))
         obs = new_episode() if done else nxt
 
         if step > cfg.warmup_steps and step % cfg.train_every == 0:

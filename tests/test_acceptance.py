@@ -6,6 +6,7 @@ Criteria 9-10 are directional training comparisons (3 seeds x 60k steps at
 `slow`, excluded from the default run (`pytest -m slow` opts in).
 """
 
+import csv
 import itertools
 import math
 
@@ -15,11 +16,13 @@ import pytest
 from sfqn import autodiff as ad
 from sfqn.analysis import capacity
 from sfqn.autodiff import Tensor
+from sfqn.cli import main
 from sfqn.config import ExperimentConfig
 from sfqn.fuzzy import (MembershipBank, NeuralDecoder, centroid_positions,
                         decode_centroid, if_spike_train, membership_eval)
 from sfqn.highway import IDLE, HighwayConfig, HighwayEnv, VehicleState
-from sfqn.qnet import NetworkConfig, QNetwork, count_multiplications
+from sfqn.qnet import (N_ACTIONS, NetworkConfig, QNetwork,
+                       count_multiplications)
 from sfqn.snn import Neuron, NeuronSpec
 from sfqn.train import (Adam, ReplayBuffer, TrainConfig, Transition,
                         bellman_target, run_training, train_step)
@@ -64,27 +67,65 @@ def test_criterion_3_capacity_formulas():
     _ok(3, f"capacity closed forms exact on {len(grid)}-point grid")
 
 
+# criterion 4's shape grid: overrides of a small base network
+C4_BASE = dict(obs_hw=(8, 8), conv_channels=(2, 4), c_emb=8, n_heads=2,
+               d_ff=16, fc_hidden=16, dec_hidden=8, t_steps=3, seed=0)
+C4_SHAPES = [
+    dict(), dict(obs_hw=(16, 16)), dict(obs_hw=(11, 13)),
+    dict(conv_kernel=5, conv_padding=2),
+    dict(conv_stride=1, obs_hw=(6, 6), fc_hidden=8),
+    dict(n_membership=2), dict(n_membership=4, obs_hw=(10, 10)),
+    dict(membership_kind="gaussian"),
+    dict(encoder="rate", decoder="weighted_sum"),
+    dict(encoder="rate", decoder="weighted_sum", obs_hw=(16, 16)),
+    dict(conv_channels=(4, 4), obs_hw=(12, 12)),
+]
+
+
 def test_criterion_4_cost_model_agreement():
-    configs = [
-        dict(), dict(obs_hw=(16, 16)), dict(obs_hw=(11, 13)),
-        dict(conv_kernel=5, conv_padding=2),
-        dict(conv_stride=1, obs_hw=(6, 6), fc_hidden=8),
-        dict(n_membership=2), dict(n_membership=4, obs_hw=(10, 10)),
-        dict(membership_kind="gaussian"),
-        dict(encoder="rate", decoder="weighted_sum"),
-        dict(encoder="rate", decoder="weighted_sum", obs_hw=(16, 16)),
-        dict(conv_channels=(4, 4), obs_hw=(12, 12)),
-    ]
-    assert len(configs) >= 10
-    base = dict(obs_hw=(8, 8), conv_channels=(2, 4), c_emb=8, n_heads=2,
-                d_ff=16, fc_hidden=16, dec_hidden=8, t_steps=3, seed=0)
-    for overrides in configs:
-        cfg = NetworkConfig(**{**base, **overrides})
+    assert len(C4_SHAPES) >= 10
+    for overrides in C4_SHAPES:
+        cfg = NetworkConfig(**{**C4_BASE, **overrides})
         counts = count_multiplications(QNetwork(cfg))
         assert counts["encoder"]["analytic"] == counts["encoder"]["measured"]
         assert (counts["first_conv"]["analytic"]
                 == counts["first_conv"]["measured"])
-    _ok(4, f"instrumented = analytic multiply counts on {len(configs)} shapes")
+    _ok(4, f"instrumented = analytic multiply counts on {len(C4_SHAPES)} shapes")
+
+
+def _cli_cost_table(tmp_path, cfg: NetworkConfig, channels: int) -> dict:
+    """`sfqn analyze-cost` for the network's first conv over `channels`."""
+    path = tmp_path / "cost.csv"
+    (h, w), args = cfg.obs_hw, {
+        "--c": channels, "--c-out": cfg.conv_channels[0],
+        "--kernel": cfg.conv_kernel, "--stride": cfg.conv_stride,
+        "--padding": cfg.conv_padding, "--n": cfg.n_membership,
+        "--m": cfg.m_population, "--actions": N_ACTIONS}
+    argv = ["analyze-cost", "--height", str(h), "--width", str(w),
+            "--csv", str(path)]
+    assert main(argv + [str(v) for kv in args.items() for v in kv]) == 0
+    with open(path, newline="") as fh:
+        return {stage: int(v) for stage, v in list(csv.reader(fh))[1:]}
+
+
+def test_criterion_4_counts_are_the_cli_cost_table(tmp_path):
+    # the analytic side of criterion 4 is the table the CLI prints: the
+    # encoder per image channel (a Gaussian degree costs two
+    # multiplications), the first conv over the encoder's output channels
+    for overrides in C4_SHAPES:
+        cfg = NetworkConfig(**{**C4_BASE, **overrides})
+        counts = count_multiplications(QNetwork(cfg))
+        fuzzy = cfg.encoder == "fuzzy"
+        per_image = _cli_cost_table(tmp_path, cfg, cfg.obs_channels)
+        expanded = _cli_cost_table(
+            tmp_path, cfg, cfg.obs_channels * (cfg.n_membership if fuzzy else 1))
+        per_degree = 2 if cfg.membership_kind == "gaussian" else 1
+        assert counts["encoder"]["analytic"] == (
+            per_image["fuzzy_encoder"] * per_degree if fuzzy
+            else per_image["rate_encoder"])
+        assert counts["first_conv"]["analytic"] == expanded["first_conv"]
+        assert counts["decoder_overhead"] == (
+            per_image["decoder_overhead"] if cfg.decoder == "neural" else 0)
 
 
 def test_criterion_5_gradient_suite():

@@ -410,3 +410,21 @@ def test_mult_counter_scopes():
     assert c.mults == 2 * 3 * 4
     a @ b   # outside the context: not counted
     assert c.mults == 2 * 3 * 4
+
+
+def test_count_mults_nests_and_restores_after_exception():
+    a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+    with ad.count_mults() as outer:
+        a @ b
+        with ad.count_mults() as inner:        # counts alone
+            a @ b
+            a @ b
+        assert (outer.mults, inner.mults) == (24, 48)
+        a @ b                                  # the outer block resumes
+        with pytest.raises(RuntimeError):
+            with ad.count_mults() as failed:
+                a @ b
+                raise RuntimeError("inside the block")
+        a @ b                                  # outer restored after it
+    a @ b                                      # nothing armed any more
+    assert (outer.mults, inner.mults, failed.mults) == (72, 48, 24)

@@ -162,6 +162,19 @@ def test_config_component_rejection_is_config_error():
     ("buffer_capacity = 0", "buffer_capacity"),
     ("eps_start = 1.5", "eps_start"),
     ("eps_end = -0.1", "eps_end"),
+    ("eps_fraction = nan", "eps_fraction"),
+    ("lr = 0", "lr"),
+    ("lr = nan", "lr"),
+    ("total_steps = 0", "total_steps"),
+    ("resolution = 0", "resolution"),
+    ("lidar_sectors = 0", "lidar_sectors"),
+    ("lane_change_steps = 0", "lane_change_steps"),
+    ("lanes = 0", "lanes"),
+    ("v_min = 40", "v_min"),
+    ("spawn_range = 10", "spawn_range"),
+    ("dt = -1", "dt"),
+    ("vehicle_length = -5", "vehicle_length"),
+    ("n_vehicles = -1", "n_vehicles"),
 ])
 def test_config_rejects_sizes_and_periods_below_one(text, key):
     # each of these used to parse and fail only at network build or in

@@ -127,9 +127,12 @@ def test_ternary_single_head_raw_score_is_width():
 def test_cross_fusion_zero_inputs():
     rng = np.random.default_rng(0)
     cfl = CrossFusionLayer(8, 2, 16, _steps(2), theta_neg=-4.0, rng=rng)
-    out = cfl.step(Tensor(np.zeros((2, 4, 8))), Tensor(np.zeros((2, 4, 8))))
+    e1, e2 = Tensor(np.zeros((2, 4, 8))), Tensor(np.zeros((2, 4, 8)))
+    out = cfl.step(e1, e2)
     # zero tokens -> zero Q/K currents -> no spikes -> zero scores
-    assert all(v.sum() == 0.0 for v in cfl.last_qk.values())
+    for name, tokens in (("q1", e1), ("k1", e1), ("q2", e2), ("k2", e2)):
+        qk = cfl.qk_neuron.step(tokens @ cfl.proj[name])
+        assert not np.any(qk.value)
     # residual path is zero too; biases are zero, so nothing crosses threshold
     assert out.value.sum() == 0.0
 
@@ -143,11 +146,28 @@ def test_cross_fusion_output_alphabet_and_qk_ternary():
     out = cfl.step(e1, e2)
     assert out.shape == (6, 9, 8)
     assert _alphabet(out.value, (0.0, 1.0))
-    for name, val in cfl.last_qk.items():
-        assert val.shape == (6, 9, 8)
-        assert _alphabet(val, (-1.0, 0.0, 1.0))
+    for name, tokens in (("q1", e1), ("k1", e1), ("q2", e2), ("k2", e2)):
+        qk = cfl.qk_neuron.step(tokens @ cfl.proj[name]).value
+        assert qk.shape == (6, 9, 8)
+        assert _alphabet(qk, (-1.0, 0.0, 1.0))
     with pytest.raises(ad.ShapeError):
         cfl.step(e1, Tensor(np.zeros((6, 4, 8))))
+
+
+def test_cross_fusion_keeps_no_state():
+    # a call leaves the layer's attributes as they were, and one binary and
+    # one ternary neuron rule serve every spiking sublayer
+    rng = np.random.default_rng(4)
+    cfl = CrossFusionLayer(8, 2, 16, _steps(2), theta_neg=-4.0, rng=rng,
+                           gain=10.0)
+    before = dict(vars(cfl))
+    cfl.step(_repeat(np.ones((1, 4, 8)), 2), _repeat(np.ones((1, 4, 8)), 2))
+    assert vars(cfl).keys() == before.keys()
+    assert all(vars(cfl)[key] is value for key, value in before.items())
+    neurons = {k: v for k, v in vars(cfl).items() if isinstance(v, Neuron)}
+    assert sorted(neurons) == ["neuron", "qk_neuron"]
+    assert neurons["qk_neuron"].spec.theta_neg == -4.0
+    assert neurons["neuron"].spec.theta_neg is None
 
 
 def test_cross_fusion_state_isolation():

@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from sfqn import train
 from sfqn.autodiff import Tensor
 from sfqn.config import ABLATION_MATRIX, parse_config
 from sfqn.highway import FASTER, HighwayConfig, HighwayEnv
@@ -260,6 +261,26 @@ def test_run_training_golden_pin(variant):
     rows_sha = hashlib.sha256(
         repr([dataclasses.astuple(r) for r in rows]).encode()).hexdigest()
     assert (net.parameter_digest()[:16], rows_sha[:16]) == RUN_PINS[variant]
+
+
+def test_run_training_stores_each_frame_once(monkeypatch):
+    buffers = []
+
+    class CapturedBuffer(ReplayBuffer):
+        def __init__(self, capacity):
+            super().__init__(capacity)
+            buffers.append(self)
+
+    monkeypatch.setattr(train, "ReplayBuffer", CapturedBuffer)
+    net = QNetwork(RUN_CFG.network_config(0, "nonspiking"))
+    run_training(net, RUN_CFG.train_config(3), RUN_CFG.env_config())
+    data = buffers[0]._data
+    assert len(data) == RUN_CFG.total_steps     # no ring wrap-around
+    ends = [tr.terminal for tr in data[:-1]]
+    assert any(ends)                            # episodes do end in the run
+    for tr, nxt, end in zip(data, data[1:], ends):
+        # within an episode a frame is one dict shared by both transitions
+        assert (tr.next_obs is nxt.obs) == (not end)
 
 
 def test_write_metrics_layout(tmp_path):
