@@ -3,6 +3,7 @@ layer callables while tracing and counts per-layer operations on a probe
 forward.  These tests fail when a change to sfqn removes or renames
 something the harness relies on."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -42,3 +43,20 @@ def test_probe_counts_without_failures(variant):
     assert tally.attempted > 0
     assert set(out) == set(counts.metric_names())
     assert out["autodiff.mults"] > 0
+
+
+# Exact `counts.probe` values of every variant on TINY for the probe batch
+# above: multiplications, synaptic operations and firing rates per stage.
+# Graph size may fall with autodiff changes and is not pinned.  A kernel
+# rewrite that keeps these counts keeps what the cost tables report.
+COUNT_PINS = json.loads(
+    (Path(__file__).parent / "probe_count_pins.json").read_text())
+
+
+@pytest.mark.parametrize("variant", ABLATION_MATRIX)
+def test_probe_counts_pinned(variant):
+    net = QNetwork(TINY.network_config(0, variant))
+    rng = np.random.default_rng(0)
+    bev, lidar = rng.random((2, 3, 1, 8, 8))
+    out = counts.probe(net, bev, lidar, workloads.Tally())
+    assert {k: out[k] for k in COUNT_PINS[variant]} == COUNT_PINS[variant]
