@@ -4,11 +4,13 @@ Values are numpy float64 arrays of rank <= 4.  Each `Tensor` records its
 parents and a backward closure; `Tensor.backward()` walks the graph once in
 reverse topological order and accumulates gradients (shared subexpressions
 sum).  Inside `no_grad()` ops record no parents or closures, so inference
-forwards build no graph.  Spike nonlinearities get a hard forward
-(Heaviside) with an arctangent surrogate derivative that is computed only
-when backward runs.  `spike_recurrence` runs a whole (L)IF membrane
-recurrence over T steps as one node, with backpropagation through time in
-its backward.
+forwards build no graph.  Inputs wrapped by `as_tensor` are constants: a
+node built only from constants records no graph either, and backward
+computes no gradient for a constant operand.  Spike nonlinearities get a
+hard forward (Heaviside) with an arctangent surrogate derivative that is
+computed only when backward runs.  `spike_recurrence` runs a whole (L)IF
+membrane recurrence over T steps as one node, with backpropagation through
+time in its backward.
 
 A process-global multiplication counter can be armed with `count_mults()`;
 the dense kernels (matmul, conv2d, triangular membership eval) report the
@@ -99,16 +101,22 @@ def record_mults(n: int) -> None:
 
 
 class Tensor:
-    """Node in the autodiff graph: a value plus a backward rule."""
+    """Node in the autodiff graph: a value plus a backward rule.
 
-    __slots__ = ("value", "grad", "parents", "_backward", "name")
+    A leaf is a parameter unless built with `constant=True`; a node needs a
+    gradient only if one of its parents does, and otherwise is a constant
+    that records no parents or backward rule."""
+
+    __slots__ = ("value", "grad", "parents", "_backward", "name", "constant")
 
     def __init__(self, value, parents: Sequence["Tensor"] = (),
                  backward: Callable[[np.ndarray], None] | None = None,
-                 name: str | None = None):
+                 name: str | None = None, constant: bool = False):
         self.value = _as_array(value)
         self.grad: np.ndarray | None = None
-        if _Flags.grad:
+        self.constant = (all(p.constant for p in parents) if parents
+                         else constant)
+        if _Flags.grad and not self.constant:
             self.parents = tuple(parents)
             self._backward = backward
         else:
@@ -196,7 +204,8 @@ class Tensor:
 
 
 def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    """`x` itself if it is a Tensor, else `x` as a constant."""
+    return x if isinstance(x, Tensor) else Tensor(x, constant=True)
 
 
 class Module:
@@ -239,8 +248,10 @@ def add(a, b) -> Tensor:
     out_val = a.value + b.value
 
     def backward(g):
-        _acc(a, _unbroadcast(g, a.value.shape))
-        _acc(b, _unbroadcast(g, b.value.shape))
+        if not a.constant:
+            _acc(a, _unbroadcast(g, a.value.shape))
+        if not b.constant:
+            _acc(b, _unbroadcast(g, b.value.shape))
 
     return Tensor(out_val, (a, b), backward)
 
@@ -250,8 +261,10 @@ def sub(a, b) -> Tensor:
     out_val = a.value - b.value
 
     def backward(g):
-        _acc(a, _unbroadcast(g, a.value.shape))
-        _acc(b, -(_unbroadcast(g, b.value.shape)))
+        if not a.constant:
+            _acc(a, _unbroadcast(g, a.value.shape))
+        if not b.constant:
+            _acc(b, -(_unbroadcast(g, b.value.shape)))
 
     return Tensor(out_val, (a, b), backward)
 
@@ -261,8 +274,10 @@ def mul(a, b) -> Tensor:
     out_val = a.value * b.value
 
     def backward(g):
-        _acc(a, _unbroadcast(g * b.value, a.value.shape))
-        _acc(b, _unbroadcast(g * a.value, b.value.shape))
+        if not a.constant:
+            _acc(a, _unbroadcast(g * b.value, a.value.shape))
+        if not b.constant:
+            _acc(b, _unbroadcast(g * a.value, b.value.shape))
 
     return Tensor(out_val, (a, b), backward)
 
@@ -272,8 +287,10 @@ def div(a, b) -> Tensor:
     out_val = a.value / b.value
 
     def backward(g):
-        _acc(a, _unbroadcast(g / b.value, a.value.shape))
-        _acc(b, _unbroadcast(-g * a.value / (b.value ** 2), b.value.shape))
+        if not a.constant:
+            _acc(a, _unbroadcast(g / b.value, a.value.shape))
+        if not b.constant:
+            _acc(b, _unbroadcast(-g * a.value / (b.value ** 2), b.value.shape))
 
     return Tensor(out_val, (a, b), backward)
 
@@ -304,8 +321,10 @@ def _select(a: Tensor, b: Tensor, take_a: np.ndarray) -> Tensor:
     out_val = np.where(take_a, a.value, b.value)
 
     def backward(g):
-        _acc(a, _unbroadcast(g * take_a, a.value.shape))
-        _acc(b, _unbroadcast(g * ~take_a, b.value.shape))
+        if not a.constant:
+            _acc(a, _unbroadcast(g * take_a, a.value.shape))
+        if not b.constant:
+            _acc(b, _unbroadcast(g * ~take_a, b.value.shape))
 
     return Tensor(out_val, (a, b), backward)
 
@@ -374,7 +393,8 @@ def concat(tensors, axis=0) -> Tensor:
 
     def backward(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _acc(t, piece)
+            if not t.constant:
+                _acc(t, piece)
 
     return Tensor(out_val, tuple(tensors), backward)
 
@@ -396,14 +416,22 @@ def matmul(a, b) -> Tensor:
                  * b.value.shape[-1])
 
     def backward(g):
-        _acc(a, _unbroadcast(np.matmul(g, np.swapaxes(b.value, -1, -2)),
-                               a.value.shape))
-        gb = (a.value.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-              if b.value.ndim == 2 else         # a shared weight: one GEMM
-              np.matmul(np.swapaxes(a.value, -1, -2), g))
-        _acc(b, _unbroadcast(gb, b.value.shape))
+        if not a.constant:
+            _acc(a, _unbroadcast(np.matmul(g, np.swapaxes(b.value, -1, -2)),
+                                 a.value.shape))
+        if not b.constant:
+            gb = (a.value.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                  if b.value.ndim == 2 else         # a shared weight: one GEMM
+                  np.matmul(np.swapaxes(a.value, -1, -2), g))
+            _acc(b, _unbroadcast(gb, b.value.shape))
 
     return Tensor(out_val, (a, b), backward)
+
+
+# Elements per block of `spike_recurrence` and of the `conv2d` backward: a
+# block's buffers (256 KiB each in float64) stay in a 2 MiB per-core L2
+# cache while they are reused.
+SPIKE_BLOCK = 1 << 15
 
 
 def conv2d_extents(h: int, w: int, l: int, stride: int, padding: int):
@@ -426,9 +454,11 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
     patch-index map sends patch entry (c*l*l + i*l + j, oh*Wo + ow) to the
     flat index of x[c, oh*s+i-p, ow*s+j-p] in its sample, or, for a tap in
     the padding, to a zero slot after the sample's C*H*W values.  Forward
-    gathers the patch matrix along it with `np.take`; backward scatters the
-    patch gradients back with one `np.bincount`, which adds each input
-    cell's taps in kernel order.
+    gathers the patch matrix along it with `np.take`.  Backward runs over
+    blocks of whole samples, about SPIKE_BLOCK patch entries each: per block
+    one GEMM writes the patch gradients into a reused buffer, and one
+    `np.bincount` through a block-sized index adds each input cell's taps in
+    kernel order.
     """
     x, kernels = as_tensor(x), as_tensor(kernels)
     if x.value.ndim not in (3, 4) or kernels.value.ndim != 4:
@@ -456,13 +486,23 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
 
     def backward(g):
         gmat = g.reshape(b, c_out, h_out * w_out)
-        _acc(kernels, np.matmul(gmat, cols.transpose(0, 2, 1)).sum(0)
-             .reshape(kernels.value.shape))
-        dcols = np.matmul(kmat.T, gmat)
+        if not kernels.constant:
+            _acc(kernels, np.matmul(gmat, cols.transpose(0, 2, 1)).sum(0)
+                 .reshape(kernels.value.shape))
+        if x.constant:
+            return
         n = c * h * w + 1
-        dx = np.bincount((idx + n * np.arange(b)[:, None, None]).ravel(),
-                         weights=dcols.ravel(), minlength=b * n)
-        _acc(x, dx.reshape(b, n)[:, :-1].reshape(x.value.shape))
+        step = max(1, min(b, SPIKE_BLOCK // idx.size))
+        index = (idx + n * np.arange(step)[:, None, None]).ravel()
+        dcols = np.empty((step,) + idx.shape)
+        dx = np.empty((b, n - 1))
+        for lo in range(0, b, step):
+            m = min(step, b - lo)
+            np.matmul(kmat.T, gmat[lo:lo + m], out=dcols[:m])
+            dx[lo:lo + m] = np.bincount(
+                index[:m * idx.size], weights=dcols[:m].ravel(),
+                minlength=m * n).reshape(m, n)[:, :-1]
+        _acc(x, dx.reshape(x.value.shape))
 
     return Tensor(out, (x, kernels), backward)
 
@@ -477,9 +517,9 @@ def arctan_surrogate_grad(u: np.ndarray, alpha: float,
 
     With `out` (which may be `u` itself) every step writes there and
     nothing is allocated."""
-    z = np.multiply(math.pi * alpha, u, out=out)
-    z = np.square(np.divide(z, 2.0, out=out), out=out)
-    return np.divide(alpha / 2.0, np.add(z, 1.0, out=out), out=out)
+    z = np.multiply(math.pi * alpha / 2.0, u, out=out)
+    np.square(z, out=z)
+    return np.divide(alpha / 2.0, np.add(z, 1.0, out=z), out=z)
 
 
 def arctan_surrogate(u: np.ndarray, alpha: float) -> np.ndarray:
@@ -509,11 +549,6 @@ def surrogate_spike_below(u, threshold: float, alpha: float = 2.0) -> Tensor:
     return surrogate_spike(-as_tensor(u), -threshold, alpha)
 
 
-# Neurons per block of `spike_recurrence`: a block's buffers (256 KiB each
-# in float64) stay in a 2 MiB per-core L2 cache across all T steps.
-SPIKE_BLOCK = 1 << 15
-
-
 def _fire(v: np.ndarray, theta: float, out: np.ndarray, alpha: float,
           below: bool = False) -> None:
     """Spikes of membrane `v` into `out`: v >= theta (v <= theta if
@@ -527,11 +562,13 @@ def _fire(v: np.ndarray, theta: float, out: np.ndarray, alpha: float,
 
 def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
                      theta_neg: float | None = None, tau: float | None = None,
-                     alpha: float = 2.0) -> Tensor:
+                     alpha: float = 2.0, repeat: bool = False) -> Tensor:
     """Spikes of one neuron population driven for `t_steps` steps.
 
     `x` holds the input current of every step, T-major: row t*B + b is step
-    t of sample b.  The membrane starts at 0 and, per step,
+    t of sample b.  With `repeat`, `x` is one (B, ...) current that drives
+    every step, and its gradient sums the steps' in order 0..T-1.  The
+    membrane starts at 0 and, per step,
     v <- v + (x_t - v)/tau (LIF), or v <- v + x_t with `tau=None` (IF);
     a spike fires at v >= theta_pos and subtracts theta_pos.  With
     `theta_neg`, the reset membrane then emits -1 at v <= theta_neg and
@@ -545,18 +582,21 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
     SPIKE_BLOCK neurons) before the next, and every op writes into the
     output or into block-sized buffers reused across blocks and steps.  The
     per-element operations and their order are those of the per-step graph,
-    so results are bitwise equal to it.
+    less its multiplications by a theta_pos of 1, so results are bitwise
+    equal to it.
     """
     if alpha <= 0:
         raise ValueError("surrogate alpha must be positive")
     x = as_tensor(x)
-    if t_steps < 1 or not x.shape or x.shape[0] % t_steps:
+    if t_steps < 1 or not x.shape or (not repeat and x.shape[0] % t_steps):
         raise ShapeError(f"leading axis of {x.shape} is not a multiple of "
                          f"{t_steps} steps")
-    # splitting the leading axis is a view, also of a non-contiguous input
-    xs = x.value.reshape((t_steps, -1) + x.shape[1:])
+    # both are views, also of a non-contiguous input
+    xs = (np.broadcast_to(x.value, (t_steps,) + x.shape) if repeat
+          else x.value.reshape((t_steps, -1) + x.shape[1:]))
     shape = xs.shape
     decay = None if tau is None else 1.0 / tau
+    unit = theta_pos == 1.0
     # blocks of whole samples, `step` samples (about SPIKE_BLOCK neurons) each
     step = max(1, min(shape[1], SPIKE_BLOCK // max(1, math.prod(shape[2:]))))
     blocks = [slice(b, min(b + step, shape[1]))
@@ -579,7 +619,8 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
             s = spikes[t, blk]
             _fire(pre, theta_pos, s, alpha)
             mid = v if pre_neg is None else pre_neg[t, blk]
-            np.subtract(pre, np.multiply(s, theta_pos, out=tmp), out=mid)
+            np.subtract(pre, s if unit else np.multiply(s, theta_pos, out=tmp),
+                        out=mid)
             if theta_neg is not None:
                 _fire(mid, theta_neg, tmp, alpha, below=True)
                 np.subtract(s, tmp, out=s)
@@ -587,10 +628,14 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
 
     def backward(g):
         g = g.reshape(shape)
-        dx = np.empty(shape)
+        dx = np.empty(x.shape if repeat else shape)
         bufs = np.empty((3, step) + shape[2:])
+        # under `repeat` each step's input gradient waits in a block buffer
+        steps = np.empty((t_steps, step) + shape[2:]) if repeat else None
         for blk in blocks:
-            dv, ds, tmp = bufs[:, :blk.stop - blk.start]
+            n = blk.stop - blk.start
+            dv, ds, tmp = bufs[:, :n]
+            dxs = dx[:, blk] if steps is None else steps[:, :n]
             dv.fill(0.0)               # dL/d(membrane after step t)
             for t in reversed(range(t_steps)):
                 if theta_neg is not None:
@@ -600,19 +645,24 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
                     np.multiply(ds, arctan_surrogate_grad(tmp, alpha, tmp),
                                 out=ds)
                     np.subtract(dv, ds, out=dv)
-                np.subtract(g[t, blk], np.multiply(dv, theta_pos, out=tmp),
+                np.subtract(g[t, blk],
+                            dv if unit else np.multiply(dv, theta_pos, out=tmp),
                             out=ds)
                 np.subtract(pre_pos[t, blk], theta_pos, out=tmp)
                 np.multiply(ds, arctan_surrogate_grad(tmp, alpha, tmp), out=ds)
                 np.add(dv, ds, out=dv)
                 if decay is None:
-                    np.copyto(dx[t, blk], dv)
+                    np.copyto(dxs[t], dv)
                 else:
-                    np.multiply(dv, decay, out=dx[t, blk])
-                    np.subtract(dv, dx[t, blk], out=dv)
+                    np.multiply(dv, decay, out=dxs[t])
+                    np.subtract(dv, dxs[t], out=dv)
+            if steps is not None:
+                np.copyto(dx[blk], dxs[0])
+                for d in dxs[1:]:
+                    np.add(dx[blk], d, out=dx[blk])
         _acc(x, dx.reshape(x.shape))
 
-    return Tensor(spikes.reshape(x.shape), (x,), backward)
+    return Tensor(spikes.reshape((-1,) + shape[2:]), (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +680,14 @@ def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     out_val = xhat * gamma.value + beta.value
 
     def backward(g):
-        _acc(gamma, _unbroadcast(g * xhat, gamma.value.shape))
-        _acc(beta, _unbroadcast(g, beta.value.shape))
-        gx = g * gamma.value
-        _acc(x, inv * (gx - gx.mean(axis=-1, keepdims=True)
-                         - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
+        if not gamma.constant:
+            _acc(gamma, _unbroadcast(g * xhat, gamma.value.shape))
+        if not beta.constant:
+            _acc(beta, _unbroadcast(g, beta.value.shape))
+        if not x.constant:
+            gx = g * gamma.value
+            _acc(x, inv * (gx - gx.mean(axis=-1, keepdims=True)
+                           - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
 
     return Tensor(out_val, (x, gamma, beta), backward)
 

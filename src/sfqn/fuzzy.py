@@ -81,7 +81,7 @@ def membership_eval(bank: MembershipBank, p) -> Tensor:
     Output shape is (N,) + shape(p); degrees lie in [0,1].
     """
     pv = np.clip(np.asarray(p, dtype=np.float64), 0.0, 1.0)
-    pt = Tensor(pv[None, ...])                      # (1, ...) broadcast vs N
+    pt = ad.as_tensor(pv[None, ...])                # (1, ...) broadcast vs N
     extra = (1,) * pv.ndim
     if bank.kind == TRIANGULAR:
         a, b, c = bank.abc()
@@ -112,8 +112,8 @@ def if_spike_train(drive: Tensor, t_steps: int, alpha: float = 2.0) -> Tensor:
     """
     if t_steps <= 0:
         raise ValueError("simulation window must be positive")
-    return ad.spike_recurrence(ad.concat([drive] * t_steps, axis=0), t_steps,
-                               theta_pos=1.0, alpha=alpha)
+    return ad.spike_recurrence(drive, t_steps, theta_pos=1.0, alpha=alpha,
+                               repeat=True)
 
 
 def fuzzy_encode(banks: list[MembershipBank], image, t_steps: int,
@@ -151,7 +151,7 @@ def rate_encode(image, t_steps: int, rng: np.random.Generator) -> Tensor:
         raise ValueError("rate coding requires pixels in [0,1]")
     spikes = np.concatenate([rng.random(img.shape) < img
                              for _ in range(t_steps)])
-    return Tensor(spikes.astype(np.float64))
+    return ad.as_tensor(spikes)
 
 
 def accumulate_population(spikes: Tensor, weights: Tensor,

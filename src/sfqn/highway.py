@@ -59,6 +59,8 @@ class HighwayConfig:
             raise ValueError("v_min + 2 > v_max - 2 leaves no spawn speed")
         if not self.spawn_range >= self.spawn_min_gap + self.vehicle_length:
             raise ValueError("spawn_range < spawn_min_gap + vehicle_length")
+        if not self.v_min <= self.ego_speed <= self.v_max:
+            raise ValueError("ego_speed must lie in [v_min, v_max]")
 
 
 @dataclass

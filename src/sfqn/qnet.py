@@ -263,7 +263,7 @@ class QNetwork:
         if cfg.encoder == "rate":
             rng = np.random.default_rng(self._encode_seed + (mod == "m2"))
             return fuzzy.rate_encode(image, cfg.t_steps, rng)
-        return Tensor(np.asarray(image, dtype=np.float64))
+        return ad.as_tensor(image)
 
     def forward(self, bev: np.ndarray, lidar: np.ndarray
                 ) -> tuple[Tensor, Tensor | None]:

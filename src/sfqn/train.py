@@ -158,7 +158,7 @@ def train_step(net: QNetwork, target_net: QNetwork, buffer: ReplayBuffer,
     onehot = np.zeros(q.shape)
     onehot[np.arange(len(batch)), [t.action for t in batch]] = 1.0
     q_sel = ad.tsum(q * onehot, axis=1)
-    err = q_sel - Tensor(y)
+    err = q_sel - y                    # the target is a constant
     loss = ad.tmean(err * err)
     loss.check_finite()
     opt.zero_grad()

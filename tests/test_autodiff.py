@@ -112,6 +112,61 @@ def test_conv2d_matches_naive_loop():
             assert np.allclose(kt.grad, ref_dk.sum(axis=0))
 
 
+CONV_CASES = [(shape, l, stride, pad) for shape in ((2, 6, 7), (3, 2, 6, 7))
+              for l, stride, pad in ((3, 2, 1), (3, 1, 0), (2, 3, 1), (3, 2, 3),
+                                     (1, 2, 2))]
+
+
+def _conv_grads(shape, l, stride, pad):
+    """dx and dk of one seeded conv2d backward."""
+    rng = np.random.default_rng(l * 100 + stride * 10 + pad)
+    xt = Tensor(rng.standard_normal(shape))
+    kt = Tensor(rng.standard_normal((3, 2, l, l)))
+    out = ad.conv2d(xt, kt, stride, pad)
+    out.backward(rng.standard_normal(out.shape))
+    return xt.grad, kt.grad
+
+
+@pytest.mark.parametrize("shape,l,stride,pad", CONV_CASES)
+def test_conv2d_blocked_backward_is_bitwise_unblocked(monkeypatch, shape, l,
+                                                      stride, pad):
+    """The blocked backward equals one block over the whole batch, for one
+    sample per block and for blocks that leave an uneven remainder."""
+    h_out, w_out = ad.conv2d_extents(6, 7, l, stride, pad)
+    per_sample = 2 * l * l * h_out * w_out          # patch entries of a sample
+    monkeypatch.setattr(ad, "SPIKE_BLOCK", 1 << 40)
+    ref_dx, ref_dk = _conv_grads(shape, l, stride, pad)
+    # one sample per block (also at an exact fit), then blocks of 2 and 1
+    for block in (1, per_sample, 2 * per_sample + 1):
+        monkeypatch.setattr(ad, "SPIKE_BLOCK", block)
+        dx, dk = _conv_grads(shape, l, stride, pad)
+        assert np.array_equal(dx, ref_dx), block
+        assert np.array_equal(dk, ref_dk), block
+
+
+def test_conv2d_backward_allocates_only_block_buffers():
+    """dx, dk and the per-sample kernel-gradient stack are full size; the
+    patch gradients and the scatter index exist only per block."""
+    rng = np.random.default_rng(0)
+    b, c, c_out = 32, 4, 4
+    xt = Tensor(rng.standard_normal((b, c, 16, 16)))
+    kt = Tensor(rng.standard_normal((c_out, c, 3, 3)))
+    out = ad.conv2d(xt, kt, 1, 1)
+    seed = rng.standard_normal(out.shape)
+    patches = b * c * 9 * 16 * 16 * 8           # bytes of all patch entries
+    full = xt.value.nbytes + (b + 1) * kt.value.nbytes
+    slack = 3 * 8 * ad.SPIKE_BLOCK
+    assert full + slack < patches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out.backward(seed)
+        used = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert used <= full + slack
+
+
 @pytest.mark.parametrize("stride,pad", [(0, 1), (-1, 0), (1, -1)])
 def test_conv2d_rejects_bad_stride_or_padding(stride, pad):
     with pytest.raises(ad.ShapeError, match="stride"):
@@ -160,9 +215,10 @@ def test_surrogate_alpha_must_be_positive():
         ad.surrogate_spike(Tensor(np.zeros(1)), 1.0, 0.0)
 
 
-# (theta_pos, theta_neg, tau): binary LIF, ternary LIF, integrate-and-fire
+# (theta_pos, theta_neg, tau): binary LIF, ternary LIF, integrate-and-fire,
+# and a ternary LIF whose theta_pos is not 1, so the reset multiplies
 NEURON_KINDS = {"binary": (1.0, None, 2.0), "ternary": (1.0, -4.0, 2.0),
-                "if": (1.0, None, None)}
+                "if": (1.0, None, None), "ternary_1.3": (1.3, -2.5, 2.0)}
 
 
 def _per_step_reference(xs, theta_pos, theta_neg, tau, alpha):
@@ -281,6 +337,39 @@ def test_spike_recurrence_leading_axis_must_divide_by_t():
         ad.spike_recurrence(Tensor(np.zeros((3, 4))), 0)
     with pytest.raises(ValueError):
         ad.spike_recurrence(Tensor(np.zeros((2, 4))), 2, alpha=0.0)
+
+
+def _const_op_graph(wrap):
+    """A scalar loss over two parameters and four wrapped inputs, through
+    every op with more than one operand."""
+    rng = np.random.default_rng(4)
+    w = Tensor(rng.standard_normal((3, 4)))
+    k = Tensor(rng.standard_normal((2, 1, 3, 3)))
+    x, img, g, p = (wrap(rng.standard_normal(shape))
+                    for shape in ((2, 3), (2, 1, 5, 5), (4,), (2, 4)))
+    h = ad.concat([x @ w, p], axis=0) * 2.0 + 1.0
+    h = ad.minimum(h, p.value.max()) - ad.maximum(0.5, h / 3.0)
+    h = ad.layernorm(h, g, ad.as_tensor(np.zeros(4)))
+    h = ad.reshape(h, (2, 2, 4)) / ad.exp(x @ w)
+    conv = ad.conv2d(img, k, 2, 1)
+    loss = ad.tsum(h * h) + ad.tmean(conv) - ad.tsum(ad.matmul(x.value, w))
+    loss.backward()
+    return loss, (w, k), (x, img, g, p)
+
+
+def test_constants_take_no_gradient():
+    loss, params, consts = _const_op_graph(ad.as_tensor)
+    ref_loss, ref_params, ref_leaves = _const_op_graph(Tensor)
+    assert loss.value == ref_loss.value
+    for p, ref in zip(params, ref_params):      # bitwise the leaf-input graph
+        assert np.array_equal(p.grad, ref.grad)
+    assert all(c.constant and c.grad is None for c in consts)
+    assert all(leaf.grad is not None for leaf in ref_leaves)
+    # a node built only from constants records no graph
+    two = ad.as_tensor(2.0)
+    node = ad.tsum(consts[0] * two + 1.0)
+    assert node.constant and node.parents == () and node._backward is None
+    assert two.grad is None and not params[0].constant
 
 
 def test_no_grad_records_no_graph_and_restores_flag():

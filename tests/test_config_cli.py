@@ -175,6 +175,8 @@ def test_config_component_rejection_is_config_error():
     ("dt = -1", "dt"),
     ("vehicle_length = -5", "vehicle_length"),
     ("n_vehicles = -1", "n_vehicles"),
+    ("ego_speed = 50", "ego_speed"),
+    ("ego_speed = 5", "ego_speed"),
 ])
 def test_config_rejects_sizes_and_periods_below_one(text, key):
     # each of these used to parse and fail only at network build or in

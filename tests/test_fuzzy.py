@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,30 @@ def test_if_rate_within_one_over_t(mu, t):
     spikes = if_spike_train(Tensor(np.array([mu])), t)
     rate = spikes.value.sum() / t
     assert abs(rate - mu) <= 1 / t + 1e-12
+
+
+@pytest.mark.parametrize("block", [None, 8])
+@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("t", [1, 2, 5])
+def test_if_train_reads_one_drive_bitwise(monkeypatch, t, soft, block):
+    """Spikes and the drive gradient equal those of the drive copied T
+    times, also for a non-contiguous drive and over several blocks."""
+    if block is not None:      # 4 neurons per sample: blocks of 2, 1 left
+        monkeypatch.setattr(ad, "SPIKE_BLOCK", block)
+    rng = np.random.default_rng(t)
+    d = rng.normal(0.8, 0.6, (3, 2, 2))
+    d = np.ascontiguousarray(d.transpose(2, 1, 0)).transpose(2, 1, 0)
+    assert not d.flags.c_contiguous
+    seed = rng.standard_normal((t * 3, 2, 2))
+    with ad.soft_spike_forward() if soft else contextlib.nullcontext():
+        drive, copied = Tensor(d), Tensor(d)
+        out = if_spike_train(drive, t)
+        out.backward(seed)
+        ref = ad.spike_recurrence(ad.concat([copied] * t, axis=0), t)
+        ref.backward(seed)
+    assert np.array_equal(out.value, ref.value)
+    assert np.array_equal(drive.grad, copied.grad)
+    assert np.any(out.value != 0) and np.any(drive.grad != 0)
 
 
 def test_if_train_rejects_bad_window():

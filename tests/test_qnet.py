@@ -181,6 +181,31 @@ def _variant_cfg(variant: str, **overrides) -> NetworkConfig:
                     **overrides)
 
 
+@pytest.mark.parametrize("variant", ["fuzzy", "rate", "nonspiking"])
+def test_first_conv_scatters_input_gradient_only_under_fuzzy(monkeypatch,
+                                                             variant):
+    """Rate spikes and raw images are constants, so the backward of the
+    first conv computes no input gradient; trainable fuzzy banks need one."""
+    net = QNetwork(_variant_cfg(variant))
+    obs = rand_obs(net.cfg, seed=2)
+    h, w = net.cfg.obs_hw
+    n0 = net.cfg.conv_input_channels() * h * w + 1   # conv0 slots per sample
+    sizes = []
+    bincount = np.bincount
+
+    def spy(index, weights=None, minlength=0):
+        sizes.append(minlength)
+        return bincount(index, weights=weights, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    q, _ = net.forward(np.stack([obs["bev"]] * 2),
+                       np.stack([obs["lidar_grid"]] * 2))
+    ad.tsum(q).backward()
+    assert sizes                                     # later convs scatter
+    assert any(n % n0 == 0 for n in sizes) == (variant == "fuzzy")
+    assert all(p.grad is not None for p in net.convs["m1"][0].parameters())
+
+
 @pytest.mark.parametrize("variant", list(config.VARIANTS))
 def test_no_grad_forward_is_bitwise_graph_forward(variant):
     net = QNetwork(_variant_cfg(variant))
