@@ -243,56 +243,40 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 # elementwise ops
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_val = a.value + b.value
-
+def _binary(a: Tensor, b: Tensor, out_val: np.ndarray, grad_a,
+            grad_b) -> Tensor:
+    """Node of a broadcasting binary op: `grad_a(g)` and `grad_b(g)` are the
+    operands' gradients at the output's shape, each summed down to its
+    operand's shape and accumulated only if that operand takes one."""
     def backward(g):
         if not a.constant:
-            _acc(a, _unbroadcast(g, a.value.shape))
+            _acc(a, _unbroadcast(grad_a(g), a.value.shape))
         if not b.constant:
-            _acc(b, _unbroadcast(g, b.value.shape))
+            _acc(b, _unbroadcast(grad_b(g), b.value.shape))
 
     return Tensor(out_val, (a, b), backward)
+
+
+def add(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    return _binary(a, b, a.value + b.value, lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_val = a.value - b.value
-
-    def backward(g):
-        if not a.constant:
-            _acc(a, _unbroadcast(g, a.value.shape))
-        if not b.constant:
-            _acc(b, -(_unbroadcast(g, b.value.shape)))
-
-    return Tensor(out_val, (a, b), backward)
+    return _binary(a, b, a.value - b.value, lambda g: g, lambda g: -g)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_val = a.value * b.value
-
-    def backward(g):
-        if not a.constant:
-            _acc(a, _unbroadcast(g * b.value, a.value.shape))
-        if not b.constant:
-            _acc(b, _unbroadcast(g * a.value, b.value.shape))
-
-    return Tensor(out_val, (a, b), backward)
+    return _binary(a, b, a.value * b.value, lambda g: g * b.value,
+                   lambda g: g * a.value)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_val = a.value / b.value
-
-    def backward(g):
-        if not a.constant:
-            _acc(a, _unbroadcast(g / b.value, a.value.shape))
-        if not b.constant:
-            _acc(b, _unbroadcast(-g * a.value / (b.value ** 2), b.value.shape))
-
-    return Tensor(out_val, (a, b), backward)
+    return _binary(a, b, a.value / b.value, lambda g: g / b.value,
+                   lambda g: -g * a.value / (b.value ** 2))
 
 
 def relu(a) -> Tensor:

@@ -13,21 +13,11 @@ import hashlib
 from dataclasses import field, fields, make_dataclass
 from pathlib import Path
 
-from .fuzzy import GAUSSIAN, TRIANGULAR
 from .highway import HighwayConfig
-from .qnet import NetworkConfig
+from .qnet import VARIANTS, NetworkConfig
 from .train import TrainConfig
 
-# variant name -> (encoder, decoder, membership kind)
-VARIANTS = {
-    "fuzzy": ("fuzzy", "neural", TRIANGULAR),
-    "fuzzy_ws": ("fuzzy", "weighted_sum", TRIANGULAR),
-    "gaussian": ("fuzzy", "neural", GAUSSIAN),
-    "rate": ("rate", "weighted_sum", TRIANGULAR),
-    "nonspiking": ("none", "none", TRIANGULAR),
-}
-
-ABLATION_MATRIX = ("fuzzy", "fuzzy_ws", "nonspiking", "gaussian", "rate")
+ABLATION_MATRIX = tuple(VARIANTS)
 
 
 class ConfigError(ValueError):
@@ -36,8 +26,7 @@ class ConfigError(ValueError):
 
 # NetworkConfig / TrainConfig fields that the experiment sets itself, per
 # variant and seed; obs_hw comes from the environment's grid_size.
-DERIVED = ("seed", "encoder", "decoder", "membership_kind", "obs_channels",
-           "obs_hw")
+DERIVED = ("seed", "variant", "obs_channels", "obs_hw")
 COMPONENTS = (TrainConfig, NetworkConfig, HighwayConfig)
 
 
@@ -49,9 +38,6 @@ class _Experiment:
     """Methods of `ExperimentConfig`, whose fields are derived below."""
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; "
-                              f"choose from {sorted(VARIANTS)}")
         try:                     # surface what the components reject
             self.network_config(0)
             self.train_config(0)
@@ -67,10 +53,8 @@ class _Experiment:
 
     def network_config(self, seed: int,
                        variant: str | None = None) -> NetworkConfig:
-        encoder, decoder, kind = VARIANTS[variant or self.variant]
         return self._component(
-            NetworkConfig, encoder=encoder, decoder=decoder,
-            membership_kind=kind, obs_channels=1,
+            NetworkConfig, variant=variant or self.variant, obs_channels=1,
             obs_hw=(self.grid_size, self.grid_size), seed=seed)
 
     def train_config(self, seed: int) -> TrainConfig:

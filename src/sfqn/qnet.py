@@ -1,12 +1,9 @@
 """End-to-end Q-network variants sharing one topology.
 
-Three variants are assembled from the same conv / embedding / cross-fusion /
-head stack:
-
-* ``fuzzy`` encoder + ``neural`` decoder  - the population-coded proposal;
-* ``rate`` encoder + ``weighted_sum`` decoder - the spiking baseline;
-* ``none`` + ``none`` - the non-spiking baseline (ReLU activations, one
-  "time step", raw images in).
+The five variants of `VARIANTS` share one conv / embedding / cross-fusion /
+head stack and differ only in encoder, decoder and membership kind.  The
+non-spiking baseline has neither encoder nor decoder: ReLU activations, one
+"time step", raw images in.
 """
 
 from __future__ import annotations
@@ -25,15 +22,19 @@ from .highway import ACTION_NAMES
 
 N_ACTIONS = len(ACTION_NAMES)
 
-ENCODERS = ("fuzzy", "rate", "none")
-DECODERS = ("neural", "weighted_sum", "none")
+# variant name -> (encoder, decoder, membership kind), in ablation order
+VARIANTS = {
+    "fuzzy": ("fuzzy", "neural", fuzzy.TRIANGULAR),         # the proposal
+    "fuzzy_ws": ("fuzzy", "weighted_sum", fuzzy.TRIANGULAR),
+    "nonspiking": ("none", "none", fuzzy.TRIANGULAR),       # ReLU baseline
+    "gaussian": ("fuzzy", "neural", fuzzy.GAUSSIAN),
+    "rate": ("rate", "weighted_sum", fuzzy.TRIANGULAR),     # spiking baseline
+}
 
 
 @dataclass
 class NetworkConfig:
-    encoder: str = "fuzzy"
-    decoder: str = "neural"
-    membership_kind: str = fuzzy.TRIANGULAR
+    variant: str = "fuzzy"
     n_membership: int = 3            # N functions per input channel
     m_population: int = 5            # M output neurons per action
     t_steps: int = 5
@@ -55,12 +56,9 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.encoder not in ENCODERS:
-            raise ValueError(f"unknown encoder {self.encoder!r}")
-        if self.decoder not in DECODERS:
-            raise ValueError(f"unknown decoder {self.decoder!r}")
-        if (self.encoder == "none") != (self.decoder == "none"):
-            raise ValueError("'none' encoder and decoder come as a pair")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; "
+                             f"choose from {sorted(VARIANTS)}")
         small = [name for name in (
             "n_membership", "m_population", "t_steps", "obs_channels",
             "obs_hw", "conv_channels", "conv_kernel", "conv_stride", "c_emb",
@@ -76,6 +74,11 @@ class NetworkConfig:
             raise ValueError(f"c_emb {self.c_emb} does not split into "
                              f"n_heads {self.n_heads} equal heads")
         self.token_grid()
+
+    # the variant's components, looked up in the table
+    encoder = property(lambda self: VARIANTS[self.variant][0])
+    decoder = property(lambda self: VARIANTS[self.variant][1])
+    membership_kind = property(lambda self: VARIANTS[self.variant][2])
 
     @property
     def spiking(self) -> bool:
@@ -138,7 +141,7 @@ class QVector:
 
 class QNetwork:
     """Two modality branches fused by spiking cross-attention, with the
-    encoder/decoder pair selected by the config."""
+    encoder and decoder of the config's variant."""
 
     def __init__(self, cfg: NetworkConfig):
         self.cfg = cfg
@@ -302,19 +305,16 @@ class QNetwork:
 # multiplication accounting
 # ---------------------------------------------------------------------------
 
-def count_multiplications(net: QNetwork, obs: dict | None = None) -> dict:
+def count_multiplications(net: QNetwork) -> dict:
     """Per-stage multiply counts: the closed forms of `analysis.cost_model`
     (the table `sfqn analyze-cost` prints) next to counters measured on an
-    instrumented single-observation forward of each stage."""
+    instrumented forward of each stage for one random image."""
     cfg = net.cfg
     h, w = cfg.obs_hw
-    rng = np.random.default_rng(0)
-    if obs is None:
-        obs = {"bev": rng.random((cfg.obs_channels, h, w)),
-               "lidar_grid": rng.random((cfg.obs_channels, h, w))}
+    image = np.random.default_rng(0).random((1, cfg.obs_channels, h, w))
 
     with ad.count_mults() as c:
-        spikes = net._encode("m1", np.asarray(obs["bev"])[None])
+        spikes = net._encode("m1", image)
     measured_enc = c.mults
 
     first = net.convs["m1"][0]

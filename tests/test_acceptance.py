@@ -67,7 +67,8 @@ def test_criterion_3_capacity_formulas():
     _ok(3, f"capacity closed forms exact on {len(grid)}-point grid")
 
 
-# criterion 4's shape grid: overrides of a small base network
+# criterion 4's shape grid: overrides of a small base network; test_qnet
+# builds its networks from the same base and grid
 C4_BASE = dict(obs_hw=(8, 8), conv_channels=(2, 4), c_emb=8, n_heads=2,
                d_ff=16, fc_hidden=16, dec_hidden=8, t_steps=3, seed=0)
 C4_SHAPES = [
@@ -75,9 +76,8 @@ C4_SHAPES = [
     dict(conv_kernel=5, conv_padding=2),
     dict(conv_stride=1, obs_hw=(6, 6), fc_hidden=8),
     dict(n_membership=2), dict(n_membership=4, obs_hw=(10, 10)),
-    dict(membership_kind="gaussian"),
-    dict(encoder="rate", decoder="weighted_sum"),
-    dict(encoder="rate", decoder="weighted_sum", obs_hw=(16, 16)),
+    dict(variant="gaussian"), dict(variant="rate"),
+    dict(variant="rate", obs_hw=(16, 16)), dict(variant="nonspiking"),
     dict(conv_channels=(4, 4), obs_hw=(12, 12)),
 ]
 

@@ -216,9 +216,11 @@ def test_surrogate_alpha_must_be_positive():
 
 
 # (theta_pos, theta_neg, tau): binary LIF, ternary LIF, integrate-and-fire,
-# and a ternary LIF whose theta_pos is not 1, so the reset multiplies
+# a ternary LIF whose theta_pos is not 1, so the reset multiplies, and a
+# ternary integrate-and-fire
 NEURON_KINDS = {"binary": (1.0, None, 2.0), "ternary": (1.0, -4.0, 2.0),
-                "if": (1.0, None, None), "ternary_1.3": (1.3, -2.5, 2.0)}
+                "if": (1.0, None, None), "ternary_1.3": (1.3, -2.5, 2.0),
+                "ternary_if": (1.0, -2.5, None)}
 
 
 def _per_step_reference(xs, theta_pos, theta_neg, tau, alpha):

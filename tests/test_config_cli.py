@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from sfqn import config, qnet
 from sfqn.cli import main
 from sfqn.config import (ABLATION_MATRIX, COMPONENTS, DERIVED, VARIANTS,
                          ConfigError, ExperimentConfig, parse_config)
@@ -223,6 +224,8 @@ def test_variant_table_and_ablation_matrix():
     assert set(ABLATION_MATRIX) == {"fuzzy", "fuzzy_ws", "nonspiking",
                                     "gaussian", "rate"}
     assert len(ABLATION_MATRIX) == 5
+    assert config.VARIANTS is qnet.VARIANTS
+    assert ABLATION_MATRIX == tuple(VARIANTS)
     assert VARIANTS["fuzzy"] == ("fuzzy", "neural", TRIANGULAR)
     assert VARIANTS["fuzzy_ws"] == ("fuzzy", "weighted_sum", TRIANGULAR)
     assert VARIANTS["gaussian"] == ("fuzzy", "neural", GAUSSIAN)

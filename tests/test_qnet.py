@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from sfqn import autodiff as ad
-from sfqn import config, qnet
+from sfqn import qnet
 from sfqn.checkpoint import CheckpointFormatError, save_records
 from sfqn.qnet import NetworkConfig, QNetwork, count_multiplications
+from test_acceptance import C4_BASE, C4_SHAPES
 
 
 def tiny_cfg(**overrides) -> NetworkConfig:
-    base = dict(obs_hw=(8, 8), conv_channels=(2, 4), c_emb=8, n_heads=2,
-                d_ff=16, fc_hidden=16, dec_hidden=8, t_steps=3, seed=0)
-    base.update(overrides)
-    return NetworkConfig(**base)
+    return NetworkConfig(**{**C4_BASE, **overrides})
 
 
 def rand_obs(cfg, seed=0):
@@ -25,36 +23,32 @@ def rand_obs(cfg, seed=0):
             "lidar_grid": rng.random((cfg.obs_channels, h, w))}
 
 
-def test_encoder_decoder_pairing_enforced():
-    with pytest.raises(ValueError):
-        NetworkConfig(encoder="none", decoder="neural")
-    with pytest.raises(ValueError):
-        NetworkConfig(encoder="fuzzy", decoder="none")
-    with pytest.raises(ValueError):
-        NetworkConfig(encoder="what")
+def test_unknown_variant_rejected():
+    with pytest.raises(ValueError, match="'what'") as err:
+        NetworkConfig(variant="what")
+    assert all(repr(v) in str(err.value) for v in qnet.VARIANTS)
 
 
 def test_effective_t_and_channel_expansion():
     cfg = tiny_cfg()
     assert cfg.effective_t == 3
     assert cfg.conv_input_channels() == 3      # N * C
-    ns = tiny_cfg(encoder="none", decoder="none")
+    ns = tiny_cfg(variant="nonspiking")
     assert ns.effective_t == 1
     assert ns.conv_input_channels() == 1
 
 
-@pytest.mark.parametrize("enc,dec", [("fuzzy", "neural"),
-                                     ("rate", "weighted_sum"),
-                                     ("none", "none")])
-def test_forward_deterministic(enc, dec):
-    cfg = tiny_cfg(encoder=enc, decoder=dec)
+@pytest.mark.parametrize("variant", ["fuzzy", "rate", "nonspiking"],
+                         ids=lambda v: "-".join(qnet.VARIANTS[v][:2]))
+def test_forward_deterministic(variant):
+    cfg = tiny_cfg(variant=variant)
     net = QNetwork(cfg)
     obs = rand_obs(cfg)
     a = net.q_values(obs)
     b = net.q_values(obs)
     assert np.array_equal(a.q, b.q)
     assert a.q.shape == (qnet.N_ACTIONS,)
-    if dec == "neural":
+    if cfg.decoder == "neural":
         assert a.lam.shape == (cfg.m_population * qnet.N_ACTIONS,)
 
 
@@ -175,18 +169,12 @@ def test_forward_independent_of_previous_call():
                           fresh.forward(bev, lidar)[0].value)
 
 
-def _variant_cfg(variant: str, **overrides) -> NetworkConfig:
-    encoder, decoder, kind = config.VARIANTS[variant]
-    return tiny_cfg(encoder=encoder, decoder=decoder, membership_kind=kind,
-                    **overrides)
-
-
 @pytest.mark.parametrize("variant", ["fuzzy", "rate", "nonspiking"])
 def test_first_conv_scatters_input_gradient_only_under_fuzzy(monkeypatch,
                                                              variant):
     """Rate spikes and raw images are constants, so the backward of the
     first conv computes no input gradient; trainable fuzzy banks need one."""
-    net = QNetwork(_variant_cfg(variant))
+    net = QNetwork(tiny_cfg(variant=variant))
     obs = rand_obs(net.cfg, seed=2)
     h, w = net.cfg.obs_hw
     n0 = net.cfg.conv_input_channels() * h * w + 1   # conv0 slots per sample
@@ -206,9 +194,9 @@ def test_first_conv_scatters_input_gradient_only_under_fuzzy(monkeypatch,
     assert all(p.grad is not None for p in net.convs["m1"][0].parameters())
 
 
-@pytest.mark.parametrize("variant", list(config.VARIANTS))
+@pytest.mark.parametrize("variant", list(qnet.VARIANTS))
 def test_no_grad_forward_is_bitwise_graph_forward(variant):
-    net = QNetwork(_variant_cfg(variant))
+    net = QNetwork(tiny_cfg(variant=variant))
     obs = rand_obs(net.cfg, seed=2)
     bev, lidar = obs["bev"][None], obs["lidar_grid"][None]
     q, lam = net.forward(bev, lidar)
@@ -237,8 +225,9 @@ FORWARD_PINS = {
 
 @pytest.mark.parametrize("variant", list(FORWARD_PINS))
 def test_forward_pin(variant):
-    net = QNetwork(_variant_cfg(variant, obs_hw=(12, 12), conv_channels=(4, 8),
-                                fc_hidden=32, t_steps=4, seed=3))
+    net = QNetwork(tiny_cfg(variant=variant, obs_hw=(12, 12),
+                            conv_channels=(4, 8), fc_hidden=32, t_steps=4,
+                            seed=3))
     rng = np.random.default_rng(11)
     bev, lidar = rng.random((3, 1, 12, 12)), rng.random((3, 1, 12, 12))
     lidar[lidar < 0.7] = 0.0
@@ -257,8 +246,9 @@ BACKWARD_PINS = json.loads(
 
 @pytest.mark.parametrize("variant", list(BACKWARD_PINS))
 def test_backward_pin(variant):
-    net = QNetwork(_variant_cfg(variant, obs_hw=(12, 12), conv_channels=(4, 8),
-                                fc_hidden=32, t_steps=4, seed=3))
+    net = QNetwork(tiny_cfg(variant=variant, obs_hw=(12, 12),
+                            conv_channels=(4, 8), fc_hidden=32, t_steps=4,
+                            seed=3))
     rng = np.random.default_rng(11)
     bev, lidar = rng.random((3, 1, 12, 12)), rng.random((3, 1, 12, 12))
     lidar[lidar < 0.7] = 0.0
@@ -282,29 +272,13 @@ def test_copy_parameters_and_digest():
 
 def test_topology_signature_shared_across_variants():
     fz = QNetwork(tiny_cfg())
-    rt = QNetwork(tiny_cfg(encoder="rate", decoder="weighted_sum", seed=4))
-    ns = QNetwork(tiny_cfg(encoder="none", decoder="none", seed=8))
+    rt = QNetwork(tiny_cfg(variant="rate", seed=4))
+    ns = QNetwork(tiny_cfg(variant="nonspiking", seed=8))
     assert fz.topology_signature() == rt.topology_signature()
     assert fz.topology_signature() == ns.topology_signature()
 
 
-MULT_GRID = [
-    dict(),
-    dict(obs_hw=(16, 16)),
-    dict(obs_hw=(11, 13)),
-    dict(conv_kernel=5, conv_padding=2),
-    dict(conv_stride=1, obs_hw=(6, 6), fc_hidden=8),
-    dict(n_membership=2),
-    dict(n_membership=4, obs_hw=(10, 10)),
-    dict(membership_kind="gaussian"),
-    dict(encoder="rate", decoder="weighted_sum"),
-    dict(encoder="rate", decoder="weighted_sum", obs_hw=(16, 16)),
-    dict(encoder="none", decoder="none"),
-    dict(conv_channels=(4, 4), obs_hw=(12, 12)),
-]
-
-
-@pytest.mark.parametrize("overrides", MULT_GRID)
+@pytest.mark.parametrize("overrides", C4_SHAPES)
 def test_count_multiplications_analytic_equals_measured(overrides):
     cfg = tiny_cfg(**overrides)
     counts = count_multiplications(QNetwork(cfg))
@@ -350,7 +324,7 @@ def _np_relu(x):
 
 
 def test_nonspiking_variant_matches_dense_reference():
-    cfg = tiny_cfg(encoder="none", decoder="none", seed=11)
+    cfg = tiny_cfg(variant="nonspiking", seed=11)
     net = QNetwork(cfg)
     obs = rand_obs(cfg, seed=2)
     got = net.q_values(obs).q
