@@ -511,26 +511,14 @@ def arctan_surrogate(u: np.ndarray, alpha: float) -> np.ndarray:
     return np.arctan(math.pi * alpha * u / 2.0) / math.pi + 0.5
 
 
-def surrogate_spike(u, threshold: float = 1.0, alpha: float = 2.0) -> Tensor:
-    """Heaviside(u - threshold) forward (>= fires), arctangent surrogate backward."""
-    if alpha <= 0:
-        raise ValueError("surrogate alpha must be positive")
-    u = as_tensor(u)
-    if _Flags.soft_spike:
-        out_val = arctan_surrogate(u.value - threshold, alpha)
-    else:
-        out_val = (u.value >= threshold).astype(np.float64)
-
-    def backward(g):
-        _acc(u, g * arctan_surrogate_grad(u.value - threshold, alpha))
-
-    return Tensor(out_val, (u,), backward)
-
-
-def surrogate_spike_below(u, threshold: float, alpha: float = 2.0) -> Tensor:
-    """Heaviside(threshold - u): fires 1 when u <= threshold (ternary
-    negative arm), as `surrogate_spike` of -u at -threshold."""
-    return surrogate_spike(-as_tensor(u), -threshold, alpha)
+def split_steps(shape, t_steps: int) -> tuple[int, ...]:
+    """(T*B, ...) -> (T, B, ...): row t*B + b is step t of sample b."""
+    if t_steps < 1:
+        raise ShapeError(f"simulation window of {t_steps} steps is empty")
+    if not shape or shape[0] % t_steps:
+        raise ShapeError(f"leading axis of {tuple(shape)} is not a multiple "
+                         f"of {t_steps} steps")
+    return (t_steps, shape[0] // t_steps) + tuple(shape[1:])
 
 
 def _fire(v: np.ndarray, theta: float, out: np.ndarray, alpha: float,
@@ -542,6 +530,26 @@ def _fire(v: np.ndarray, theta: float, out: np.ndarray, alpha: float,
                                         alpha))
     else:
         (np.less_equal if below else np.greater_equal)(v, theta, out=out)
+
+
+def surrogate_spike(u, threshold: float = 1.0, alpha: float = 2.0) -> Tensor:
+    """Heaviside(u - threshold) forward (>= fires), arctangent surrogate backward."""
+    if alpha <= 0:
+        raise ValueError("surrogate alpha must be positive")
+    u = as_tensor(u)
+    out_val = np.empty(u.shape)
+    _fire(u.value, threshold, out_val, alpha)
+
+    def backward(g):
+        _acc(u, g * arctan_surrogate_grad(u.value - threshold, alpha))
+
+    return Tensor(out_val, (u,), backward)
+
+
+def surrogate_spike_below(u, threshold: float, alpha: float = 2.0) -> Tensor:
+    """Heaviside(threshold - u): fires 1 when u <= threshold (ternary
+    negative arm), as `surrogate_spike` of -u at -threshold."""
+    return surrogate_spike(-as_tensor(u), -threshold, alpha)
 
 
 def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
@@ -572,13 +580,10 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
     if alpha <= 0:
         raise ValueError("surrogate alpha must be positive")
     x = as_tensor(x)
-    if t_steps < 1 or not x.shape or (not repeat and x.shape[0] % t_steps):
-        raise ShapeError(f"leading axis of {x.shape} is not a multiple of "
-                         f"{t_steps} steps")
+    shape = split_steps((t_steps * x.shape[0],) + x.shape[1:]
+                        if repeat and x.shape else x.shape, t_steps)
     # both are views, also of a non-contiguous input
-    xs = (np.broadcast_to(x.value, (t_steps,) + x.shape) if repeat
-          else x.value.reshape((t_steps, -1) + x.shape[1:]))
-    shape = xs.shape
+    xs = np.broadcast_to(x.value, shape) if repeat else x.value.reshape(shape)
     decay = None if tau is None else 1.0 / tau
     unit = theta_pos == 1.0
     # blocks of whole samples, `step` samples (about SPIKE_BLOCK neurons) each

@@ -110,8 +110,6 @@ def if_spike_train(drive: Tensor, t_steps: int, alpha: float = 2.0) -> Tensor:
     the threshold crossing keeps the train differentiable w.r.t. the drive.
     A (B, ...) drive gives (T*B, ...) spikes, T-major.
     """
-    if t_steps <= 0:
-        raise ValueError("simulation window must be positive")
     return ad.spike_recurrence(drive, t_steps, theta_pos=1.0, alpha=alpha,
                                repeat=True)
 
@@ -162,13 +160,11 @@ def accumulate_population(spikes: Tensor, weights: Tensor,
     With one column per action this is the weighted-sum ablation decoder,
     Q(a) = sum_t sum_i w_ia s_it.
     """
-    rows, width = spikes.shape
-    if rows % t_steps:
-        raise ad.ShapeError(f"{rows} rows are not a multiple of {t_steps} steps")
+    _, width = spikes.shape
     if width != weights.shape[0]:
         raise ad.ShapeError(
             f"spike width {width} vs weight rows {weights.shape[0]}")
-    total = ad.tsum(ad.reshape(spikes, (t_steps, rows // t_steps, width)),
+    total = ad.tsum(ad.reshape(spikes, ad.split_steps(spikes.shape, t_steps)),
                     axis=0)
     return total @ weights
 
@@ -181,8 +177,6 @@ class NeuralDecoder(ad.Module):
         rng = rng or np.random.default_rng(0)
         d_in = m * n_actions
         scale = 1.0 / np.sqrt(d_in)
-        self.m = m
-        self.n_actions = n_actions
         self.w1 = Tensor(rng.uniform(-scale, scale, (d_in, hidden)), name="dec_w1")
         self.b1 = Tensor(np.zeros(hidden), name="dec_b1")
         self.w2 = Tensor(rng.uniform(-1.0 / np.sqrt(hidden), 1.0 / np.sqrt(hidden),

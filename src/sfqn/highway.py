@@ -199,10 +199,6 @@ class HighwayEnv:
         col = n // 2 + int(round(d_long / self.cfg.resolution))
         return row, col
 
-    def _blob_cols(self, col: int) -> range:
-        half = int(self.cfg.vehicle_length / (2 * self.cfg.resolution))
-        return range(col - half, col + half + 1)
-
     def render_bev(self) -> np.ndarray:
         """Ego-centered raster: ego 1.0, other vehicles 0.6, lane markings
         0.3, background 0."""
@@ -216,18 +212,16 @@ class HighwayEnv:
             if 0 <= row < n:
                 grid[0, row, :] = 0.3
 
+        # a vehicle is one row of 2*half + 1 cells centred on its column;
+        # all drawn before the ego is <= 0.6, so a vehicle simply sets 0.6
+        half = int(cfg.vehicle_length / (2 * cfg.resolution))
         for v in self.vehicles:
             row, col = self._cell(v.pos - self.ego_pos,
                                   (v.lane - self.ego_lat) * cfg.lane_width)
-            if 0 <= row < n:
-                for c in self._blob_cols(col):
-                    if 0 <= c < n:
-                        grid[0, row, c] = max(grid[0, row, c], 0.6)
+            if 0 <= row < n and -half <= col < n + half:
+                grid[0, row, max(col - half, 0):col + half + 1] = 0.6
 
-        row, col = n // 2, n // 2
-        for c in self._blob_cols(col):
-            if 0 <= c < n:
-                grid[0, row, c] = 1.0
+        grid[0, n // 2, max(n // 2 - half, 0):n // 2 + half + 1] = 1.0
         return grid
 
     def render_lidar_grid(self) -> np.ndarray:

@@ -147,10 +147,11 @@ class QNetwork:
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed)
         self._encode_seed = int(rng.integers(2 ** 31))
-        neuron = snn.NeuronSpec(
-            kind="lif" if cfg.spiking else "relu",
-            tau_m=cfg.tau_m, theta_pos=cfg.theta_pos,
-            theta_neg=None, alpha=cfg.surrogate_alpha, t_steps=cfg.effective_t)
+        # the binary rule every population shares; the cross-fusion layer
+        # derives its ternary Q/K rule from it
+        neuron = snn.Neuron(kind="lif" if cfg.spiking else "relu",
+                            tau_m=cfg.tau_m, theta_pos=cfg.theta_pos,
+                            alpha=cfg.surrogate_alpha, t_steps=cfg.effective_t)
 
         self.banks: dict[str, list[fuzzy.MembershipBank]] = {}
         if cfg.encoder == "fuzzy":
@@ -268,28 +269,33 @@ class QNetwork:
             return fuzzy.rate_encode(image, cfg.t_steps, rng)
         return ad.as_tensor(image)
 
+    def _branch(self, mod: str, image: np.ndarray) -> Tensor:
+        """One modality: (B,C,H,W) images in [0,1] -> (T*B, n_tokens, c_emb)
+        token spikes through the encoder, conv blocks and embedding."""
+        pixels = np.asarray(image)
+        if not np.all((pixels >= 0.0) & (pixels <= 1.0)):  # NaN fails both
+            raise ValueError(f"{mod} image has pixels outside [0,1]")
+        x = self._encode(mod, pixels)
+        for block in self.convs[mod]:
+            x = block.step(x)
+        return self.emb[mod].step(x)
+
     def forward(self, bev: np.ndarray, lidar: np.ndarray
                 ) -> tuple[Tensor, Tensor | None]:
         """Batched forward: (B,C,H,W) images in [0,1] -> (B,|A|) Q tensor
-        and the (B, M*|A|) population activations (None for 'none').
+        and the (B, M*|A|) population activations (None for 'none').  A
+        pixel outside [0,1], NaN included, is a ValueError.
 
         Every layer runs once over all T steps of the batch (T*B rows); this
         equals stepping the stack T times because no layer feeds an earlier
         one within a step.
         """
-        f1, f2 = self._encode("m1", bev), self._encode("m2", lidar)
-        for block in self.convs["m1"]:
-            f1 = block.step(f1)
-        for block in self.convs["m2"]:
-            f2 = block.step(f2)
-        fused = self.cfl.step(self.emb["m1"].step(f1), self.emb["m2"].step(f2))
+        fused = self.cfl.step(self._branch("m1", bev),
+                              self._branch("m2", lidar))
         lam = fuzzy.accumulate_population(self.head.step(fused), self.w_pop,
                                           self.cfg.effective_t)
-        if self.cfg.decoder == "neural":
-            return self.decoder(lam), lam
-        if self.cfg.decoder == "weighted_sum":
-            return lam, lam
-        return lam, None
+        q = lam if self.decoder is None else self.decoder(lam)
+        return q, (lam if self.cfg.spiking else None)
 
     def q_values(self, obs: dict) -> QVector:
         """Single-observation convenience around `forward`, without a graph."""

@@ -12,7 +12,7 @@ attention products) once over all T*B rows.  Only the membrane recurrence
 runs over T, inside the fused `autodiff.spike_recurrence`.  No layer
 carries state from one call to the next; every call starts at rest.
 
-Setting `kind="relu"` in a NeuronSpec swaps the spiking nonlinearity for a
+Setting `kind="relu"` in a `Neuron` swaps the spiking nonlinearity for a
 stateless ReLU, which turns the same layer stack into the non-spiking
 baseline.
 """
@@ -27,8 +27,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
-@dataclass
-class NeuronSpec:
+@dataclass(frozen=True)
+class Neuron:
+    """One neuron rule.  Populations keep the rule they are given, so every
+    population that fires by the same rule shares one object."""
     kind: str = "lif"            # "lif" or "relu"
     tau_m: float = 2.0
     theta_pos: float = 1.0
@@ -36,20 +38,12 @@ class NeuronSpec:
     alpha: float = 2.0
     t_steps: int = 1             # simulation window of one call
 
-
-class Neuron:
-    """One population of neurons sharing a NeuronSpec."""
-
-    def __init__(self, spec: NeuronSpec):
-        self.spec = spec
-
     def step(self, x: Tensor) -> Tensor:
         """(T*B, ...) input currents -> (T*B, ...) spikes."""
-        s = self.spec
-        if s.kind == "relu":
+        if self.kind == "relu":
             return ad.relu(x)
-        return ad.spike_recurrence(x, s.t_steps, s.theta_pos, s.theta_neg,
-                                   s.tau_m, s.alpha)
+        return ad.spike_recurrence(x, self.t_steps, self.theta_pos,
+                                   self.theta_neg, self.tau_m, self.alpha)
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int,
@@ -64,7 +58,7 @@ class ConvLifBlock(ad.Module):
     """Conv2d followed by a (binary) LIF population."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int,
-                 padding: int, neuron: NeuronSpec, rng: np.random.Generator,
+                 padding: int, neuron: Neuron, rng: np.random.Generator,
                  gain: float = 1.0):
         self.stride = stride
         self.padding = padding
@@ -72,7 +66,7 @@ class ConvLifBlock(ad.Module):
                                        c_in * kernel * kernel, gain),
                               name="k")
         self.bias = Tensor(np.zeros(c_out), name="b")
-        self.neuron = Neuron(neuron)
+        self.neuron = neuron
 
     def step(self, x: Tensor) -> Tensor:
         y = ad.conv2d(x, self.kernels, self.stride, self.padding)
@@ -85,14 +79,14 @@ class Embedding(ad.Module):
     positional encoding to the pre-threshold current, then spike."""
 
     def __init__(self, c_in: int, n_tokens: int, c_emb: int,
-                 neuron: NeuronSpec, rng: np.random.Generator,
+                 neuron: Neuron, rng: np.random.Generator,
                  gain: float = 1.0):
         self.c_in = c_in
         self.n_tokens = n_tokens
         self.w = Tensor(_uniform(rng, (c_in, c_emb), c_in, gain), name="w")
         self.b = Tensor(np.zeros(c_emb), name="b")
         self.pos = Tensor(_uniform(rng, (n_tokens, c_emb), c_emb), name="pos")
-        self.neuron = Neuron(neuron)
+        self.neuron = neuron
 
     def step(self, x: Tensor) -> Tensor:
         """(T*B,c,h,w) feature spikes -> (T*B, h*w, c_emb) token spikes."""
@@ -135,11 +129,10 @@ class CrossFusionLayer(ad.Module):
     """
 
     def __init__(self, c_emb: int, n_heads: int, d_ff: int,
-                 neuron: NeuronSpec, theta_neg: float, rng: np.random.Generator,
+                 neuron: Neuron, theta_neg: float, rng: np.random.Generator,
                  gain: float = 1.0):
         if c_emb % n_heads:
             raise ValueError("embedding width must divide evenly into heads")
-        self.c_emb = c_emb
         self.n_heads = n_heads
         self.d_head = c_emb // n_heads
         self.proj = {name: Tensor(_uniform(rng, (c_emb, c_emb), c_emb, gain),
@@ -156,8 +149,8 @@ class CrossFusionLayer(ad.Module):
         self.ff_w2 = Tensor(_uniform(rng, (d_ff, c_emb), d_ff), name="cfl_ff_w2")
         self.ff_b2 = Tensor(np.zeros(c_emb), name="cfl_ff_b2")
         # neurons keep no state: one binary and one ternary rule serve all
-        self.neuron = Neuron(neuron)
-        self.qk_neuron = Neuron(replace(neuron, theta_neg=theta_neg))
+        self.neuron = neuron
+        self.qk_neuron = replace(neuron, theta_neg=theta_neg)
 
     def _split_heads(self, x: Tensor) -> Tensor:
         b, n, c = x.shape
@@ -195,20 +188,17 @@ class FcLifHead(ad.Module):
     """Fully connected hidden layer of spiking neurons feeding the
     population output; emits the hidden spike vector per step."""
 
-    def __init__(self, d_in: int, hidden: int, neuron: NeuronSpec,
+    def __init__(self, d_in: int, hidden: int, neuron: Neuron,
                  rng: np.random.Generator, gain: float = 1.0):
         self.w = Tensor(_uniform(rng, (d_in, hidden), d_in, gain), name="w")
         self.b = Tensor(np.zeros(hidden), name="b")
-        self.neuron = Neuron(neuron)
+        self.neuron = neuron
 
     def step(self, fused: Tensor) -> Tensor:
         """(T*B, n, c) fused tokens -> (T*B, hidden) spikes."""
-        rows = fused.shape[0]
-        t = self.neuron.spec.t_steps
-        if rows % t:
-            raise ad.ShapeError(f"{rows} rows are not a multiple of {t} steps")
+        t, b = ad.split_steps(fused.shape, self.neuron.t_steps)[:2]
         # One (B, d) @ (d, hidden) product per step, as a stack over T, so
         # each step's current is the same BLAS call whatever T is.
-        flat = ad.reshape(fused, (t, rows // t, int(np.prod(fused.shape[1:]))))
+        flat = ad.reshape(fused, (t, b, int(np.prod(fused.shape[1:]))))
         cur = flat @ self.w + self.b
-        return self.neuron.step(ad.reshape(cur, (rows, cur.shape[-1])))
+        return self.neuron.step(ad.reshape(cur, (t * b, cur.shape[-1])))

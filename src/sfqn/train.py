@@ -191,6 +191,9 @@ def evaluate_policy(policy, env_cfg: HighwayConfig, n_episodes: int = 20,
     """
     if seeds is None:
         seeds = [10_000 + i for i in range(n_episodes)]
+    if len(seeds) == 0:
+        raise ValueError(f"evaluation needs at least one episode, got "
+                         f"n_episodes={n_episodes} and no seeds")
     env = HighwayEnv(env_cfg)
     total_reward, total_speed, steps, crashes = 0.0, 0.0, 0, 0
     rewards = []

@@ -23,7 +23,7 @@ from sfqn.fuzzy import (MembershipBank, NeuralDecoder, centroid_positions,
 from sfqn.highway import IDLE, HighwayConfig, HighwayEnv, VehicleState
 from sfqn.qnet import (N_ACTIONS, NetworkConfig, QNetwork,
                        count_multiplications)
-from sfqn.snn import Neuron, NeuronSpec
+from sfqn.snn import Neuron
 from sfqn.train import (Adam, ReplayBuffer, TrainConfig, Transition,
                         bellman_target, run_training, train_step)
 
@@ -178,7 +178,7 @@ def test_criterion_5_gradient_suite():
     w2 = rng.standard_normal((4, 3))
 
     def toy_loss(w1):
-        n1, n2 = Neuron(NeuronSpec(t_steps=2)), Neuron(NeuronSpec(t_steps=2))
+        n1, n2 = Neuron(t_steps=2), Neuron(t_steps=2)
         x = Tensor(np.concatenate([spikes_in] * 2))     # same input each step
         return ad.tsum(n2.step(n1.step(x @ w1) @ Tensor(w2)))
 

@@ -341,6 +341,17 @@ def test_spike_recurrence_leading_axis_must_divide_by_t():
         ad.spike_recurrence(Tensor(np.zeros((2, 4))), 2, alpha=0.0)
 
 
+def test_split_steps_rejects_empty_window_and_ragged_rows():
+    # row t*B + b is step t of sample b
+    assert ad.split_steps((6, 4, 2), 3) == (3, 2, 4, 2)
+    with pytest.raises(ad.ShapeError, match="window of 0 steps"):
+        ad.split_steps((6, 4), 0)
+    with pytest.raises(ad.ShapeError, match="not a multiple of 4 steps"):
+        ad.split_steps((6, 4), 4)
+    with pytest.raises(ad.ShapeError):
+        ad.split_steps((), 1)
+
+
 def _const_op_graph(wrap):
     """A scalar loss over two parameters and four wrapped inputs, through
     every op with more than one operand."""

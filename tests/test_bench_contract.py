@@ -33,6 +33,32 @@ def test_traced_callables_exist(variant):
 
 
 @pytest.mark.parametrize("variant", ABLATION_MATRIX)
+def test_tracer_round_trip(variant):
+    # `run.py --trace 1` replaces every traced callable; one it cannot
+    # replace (on a class with __slots__, say) fails here, and uninstall
+    # must put each original back
+    net = QNetwork(TINY.network_config(0, variant))
+    targets = list(spans.traced_callables([net]))
+
+    def own():
+        return [(attr in vars(owner), vars(owner).get(attr))
+                for owner, attr, _ in targets]
+
+    before = own()
+    rec = spans.Recorder()
+    rec.install([net])
+    try:
+        net.forward(*np.random.default_rng(0).random((2, 3, 1, 8, 8)))
+    finally:
+        rec.uninstall()
+    assert own() == before
+    called = {rec.names[i] for i in rec.name}
+    assert "qnet.QNetwork.forward" in called
+    assert {f"snn.{label}.step" for label, _ in spans.populations(net)} \
+        <= called
+
+
+@pytest.mark.parametrize("variant", ABLATION_MATRIX)
 def test_probe_counts_without_failures(variant):
     net = QNetwork(TINY.network_config(0, variant))
     rng = np.random.default_rng(0)

@@ -259,27 +259,6 @@ def test_decode_neural_identity_construction():
     assert np.allclose(q.value, lam.reshape(a, m).mean(axis=1))
 
 
-def test_decode_neural_regression_to_centroid_oracle():
-    m, a = 5, 5
-    rng = np.random.default_rng(0)
-    dec = NeuralDecoder(m=m, n_actions=a, hidden=64, rng=rng)
-    positions = centroid_positions(m)
-    from sfqn.train import Adam
-    opt = Adam(dec.parameters(), lr=3e-3)
-    final = None
-    for _ in range(2000):
-        lam = rng.random((64, m * a))
-        target = np.stack([decode_centroid(row, positions)
-                           for row in lam])
-        err = dec(Tensor(lam)) - Tensor(target)
-        loss = ad.tmean(err * err)
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        final = float(loss.value)
-    assert final < 1e-3
-
-
 def test_decode_centroid_hand_cases():
     assert decode_centroid(np.array([0.0, 1.0, 0.0]),
                            [-1.0, 0.0, 1.0]) == pytest.approx([0.0])

@@ -40,14 +40,33 @@ def test_bev_blob_count_matches_in_view_vehicles():
     env = HighwayEnv(cfg)
     obs = env.reset(seed=3)
     n = cfg.grid_size
+    half = int(cfg.vehicle_length / (2 * cfg.resolution))
     expected = 0
     for v in env.vehicles:
         row, col = env._cell(v.pos - env.ego_pos,
                              (v.lane - env.ego_lat) * cfg.lane_width)
-        if 0 <= row < n and any(0 <= c < n for c in env._blob_cols(col)):
+        if 0 <= row < n and any(0 <= c < n
+                                for c in range(col - half, col + half + 1)):
             expected += 1
     assert expected > 0
     assert _blob_count(obs.bev) == expected
+
+
+def test_bev_blob_clipped_at_grid_edges():
+    # a blob centred at each column, from off the left edge to off the
+    # right one, draws exactly its in-grid cells
+    cfg = HighwayConfig(n_vehicles=0, vehicle_length=9.0)     # 5 cells wide
+    env = HighwayEnv(cfg)
+    env.reset(seed=0)
+    n, half = cfg.grid_size, 2
+    lane = env.ego_lane + (1 if env.ego_lane + 1 < cfg.lanes else -1)
+    for col in range(-half - 1, n + half + 1):
+        pos = env.ego_pos + (col - n // 2) * cfg.resolution
+        env.vehicles = [VehicleState(lane=lane, pos=pos, speed=20.0)]
+        row, _ = env._cell(0.0, (lane - env.ego_lat) * cfg.lane_width)
+        drawn = np.flatnonzero(env.render_bev()[0, row] == 0.6).tolist()
+        assert drawn == [c for c in range(col - half, col + half + 1)
+                         if 0 <= c < n]
 
 
 def test_vehicle_outside_window_absent():

@@ -1,12 +1,13 @@
 import hashlib
 import json
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sfqn import autodiff as ad
-from sfqn import qnet
+from sfqn import qnet, snn
 from sfqn.checkpoint import CheckpointFormatError, save_records
 from sfqn.qnet import NetworkConfig, QNetwork, count_multiplications
 from test_acceptance import C4_BASE, C4_SHAPES
@@ -50,6 +51,35 @@ def test_forward_deterministic(variant):
     assert a.q.shape == (qnet.N_ACTIONS,)
     if cfg.decoder == "neural":
         assert a.lam.shape == (cfg.m_population * qnet.N_ACTIONS,)
+
+
+@pytest.mark.parametrize("variant", qnet.VARIANTS)
+def test_pixels_outside_unit_interval_rejected(variant):
+    # every variant takes images in [0,1]; no encoder clip or ReLU mask
+    # may turn a bad pixel into a finite Q
+    cfg = tiny_cfg(variant=variant)
+    net = QNetwork(cfg)
+    for bad in (1.5, -0.5, np.nan):
+        for image in ("bev", "lidar_grid"):
+            obs = rand_obs(cfg)
+            obs[image][0, 1, 2] = bad
+            with pytest.raises(ValueError, match=r"outside \[0,1\]"):
+                net.forward(obs["bev"][None], obs["lidar_grid"][None])
+            with pytest.raises(ValueError, match=r"outside \[0,1\]"):
+                net.q_values(obs)
+
+
+def test_populations_share_one_binary_rule():
+    cfg = NetworkConfig()
+    net = QNetwork(cfg)
+    rules = [rule for _, layer in net.layers if isinstance(layer, ad.Module)
+             for rule in vars(layer).values() if isinstance(rule, snn.Neuron)]
+    assert len(rules) == 11 and len({id(rule) for rule in rules}) == 2
+    binary = net.head.neuron
+    assert [r for r in rules if r is not binary] == [net.cfl.qk_neuron]
+    assert net.cfl.qk_neuron == replace(binary, theta_neg=cfg.theta_neg)
+    with pytest.raises(FrozenInstanceError):
+        binary.theta_pos = 2.0
 
 
 def test_zero_obs_zero_final_layers_q_equals_decoder_bias():

@@ -6,12 +6,12 @@ import pytest
 from sfqn import autodiff as ad
 from sfqn.autodiff import Tensor
 from sfqn.snn import (ConvLifBlock, CrossFusionLayer, Embedding, FcLifHead,
-                      Neuron, NeuronSpec, ternary_scores_addonly)
+                      Neuron, ternary_scores_addonly)
 
-BIN = NeuronSpec(kind="lif", tau_m=2.0, theta_pos=1.0)
+BIN = Neuron(kind="lif", tau_m=2.0, theta_pos=1.0)
 
 
-def _steps(t: int) -> NeuronSpec:
+def _steps(t: int) -> Neuron:
     return replace(BIN, t_steps=t)
 
 
@@ -26,41 +26,41 @@ def _alphabet(values, allowed):
 
 def test_lif_constant_drive_one_spike_per_step():
     # v: 0 -> 1 -> spike -> reset to 0, at every step
-    s = Neuron(_steps(4)).step(Tensor(np.full((4, 1), 2.0)))
+    s = _steps(4).step(Tensor(np.full((4, 1), 2.0)))
     assert s.value.tolist() == [[1.0]] * 4
 
 
 def test_lif_ternary_negative_arm():
-    spec = NeuronSpec(kind="lif", tau_m=2.0, theta_pos=1.0, theta_neg=-4.0,
-                      t_steps=2)
+    neuron = Neuron(kind="lif", tau_m=2.0, theta_pos=1.0, theta_neg=-4.0,
+                    t_steps=2)
     # step 1: v = -5 <= -4 fires the negative arm in both samples and the
     # subtractive reset leaves v = -5 - (-4) = -1.  Step 2 then fires only
     # for drive 3.5 (v = -1 + 4.5/2 = 1.25), not 2.9 (v = 0.95); a reset to
     # 0 would fire both, no reset (v = -5) neither.
     x = Tensor(np.array([[-10.0, -10.0], [3.5, 2.9]]))
-    s = Neuron(spec).step(x)
+    s = neuron.step(x)
     assert s.value.tolist() == [[-1.0, -1.0], [1.0, 0.0]]
 
 
 def test_lif_silent_without_drive():
-    assert Neuron(_steps(10)).step(Tensor(np.zeros((30,)))).value.sum() == 0.0
+    assert _steps(10).step(Tensor(np.zeros((30,)))).value.sum() == 0.0
 
 
 def test_lif_subthreshold_accumulation():
     # v_t converges to x from below: x=0.9 never reaches theta=1
-    s = Neuron(_steps(50)).step(Tensor(np.full((50, 1), 0.9)))
+    s = _steps(50).step(Tensor(np.full((50, 1), 0.9)))
     assert not np.any(s.value)
 
 
 def test_lif_leading_axis_not_multiple_of_t_raises():
-    n = Neuron(_steps(3))
+    n = _steps(3)
     with pytest.raises(ad.ShapeError, match="multiple of 3"):
         n.step(Tensor(np.ones((4, 3))))
     assert n.step(Tensor(np.ones((6, 3)))).shape == (6, 3)
 
 
 def test_relu_mode_is_stateless():
-    n = Neuron(NeuronSpec(kind="relu"))
+    n = Neuron(kind="relu")
     out = n.step(Tensor(np.array([-1.0, 0.5])))
     assert np.array_equal(out.value, [0.0, 0.5])
     assert n.step(Tensor(np.array([[2.0]]))).value.tolist() == [[2.0]]
@@ -166,8 +166,8 @@ def test_cross_fusion_keeps_no_state():
     assert all(vars(cfl)[key] is value for key, value in before.items())
     neurons = {k: v for k, v in vars(cfl).items() if isinstance(v, Neuron)}
     assert sorted(neurons) == ["neuron", "qk_neuron"]
-    assert neurons["qk_neuron"].spec.theta_neg == -4.0
-    assert neurons["neuron"].spec.theta_neg is None
+    assert neurons["qk_neuron"].theta_neg == -4.0
+    assert neurons["neuron"].theta_neg is None
 
 
 def test_cross_fusion_state_isolation():
@@ -222,7 +222,7 @@ def test_surrogate_differentiability_two_layer_toy():
     w2 = rng.standard_normal((4, 3))
 
     def loss(w1):
-        n1, n2 = Neuron(_steps(2)), Neuron(_steps(2))
+        n1, n2 = _steps(2), _steps(2)
         return ad.tsum(n2.step(n1.step(_repeat(x, 2) @ w1) @ Tensor(w2)))
 
     with ad.soft_spike_forward():

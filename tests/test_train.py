@@ -181,6 +181,13 @@ def test_evaluate_faster_policy_on_empty_road():
     assert metrics["avg_reward"] == pytest.approx(cfg.horizon * cfg.w_speed)
 
 
+def test_evaluate_rejects_empty_evaluation():
+    cfg = HighwayConfig(horizon=5)
+    for empty in ({"n_episodes": 0}, {"seeds": []}):
+        with pytest.raises(ValueError, match="at least one episode"):
+            evaluate_policy(lambda obs: FASTER, cfg, **empty)
+
+
 def test_evaluate_deterministic():
     cfg = HighwayConfig(horizon=15)
     policy = lambda obs: FASTER
