@@ -1,10 +1,11 @@
 """Plain-text key=value experiment configuration.
 
-One flat namespace; every key has a default, unknown keys are an error,
-`#` starts a comment.  parse -> serialize -> parse is the identity.  Apart
-from `variant`, `seeds` and `output_dir`, the keys are the fields of
-`TrainConfig`, `NetworkConfig` and `HighwayConfig` that the experiment does
-not derive itself, and values those configs reject are a `ConfigError`.
+One flat namespace; every key has a default, an unknown or repeated key is
+an error, `#` starts a comment.  parse -> serialize -> parse is the
+identity.  Apart from `variant`, `seeds` and `output_dir`, the keys are the
+fields of `TrainConfig`, `NetworkConfig` and `HighwayConfig` that the
+experiment does not derive itself, and values those configs reject, empty
+list entries and negative seeds are a `ConfigError`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class ConfigError(ValueError):
 
 # NetworkConfig / TrainConfig fields that the experiment sets itself, per
 # variant and seed; obs_hw comes from the environment's grid_size.
-DERIVED = ("seed", "variant", "obs_channels", "obs_hw")
+DERIVED = ("seed", "variant", "obs_hw")
 COMPONENTS = (TrainConfig, NetworkConfig, HighwayConfig)
 
 
@@ -38,6 +39,9 @@ class _Experiment:
     """Methods of `ExperimentConfig`, whose fields are derived below."""
 
     def __post_init__(self):
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be one or more non-negative "
+                              f"integers, got {self.seeds}")
         try:                     # surface what the components reject
             self.network_config(0)
             self.train_config(0)
@@ -54,7 +58,7 @@ class _Experiment:
     def network_config(self, seed: int,
                        variant: str | None = None) -> NetworkConfig:
         return self._component(
-            NetworkConfig, variant=variant or self.variant, obs_channels=1,
+            NetworkConfig, variant=variant or self.variant,
             obs_hw=(self.grid_size, self.grid_size), seed=seed)
 
     def train_config(self, seed: int) -> TrainConfig:
@@ -99,13 +103,13 @@ def _coerce(field, raw: str):
     if t in ("str", str):
         return raw
     if t.startswith("tuple"):
-        return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
+        return tuple(int(v) for v in raw.split(","))
     raise ConfigError(f"cannot coerce key {field.name!r}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
     known = {f.name: f for f in fields(ExperimentConfig)}
-    values = {}
+    values, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -115,6 +119,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, raw = (s.strip() for s in line.split("=", 1))
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = _coerce(known[key], raw)
         except ConfigError:

@@ -1,9 +1,9 @@
 """Trainable fuzzy membership encoding and population decoding.
 
-A `MembershipBank` holds N trainable membership functions for one input
-channel.  Triangular banks keep the ordering a < b < c valid under gradient
-updates by storing (a, log(b-a), log(c-b)) and reconstructing; Gaussian
-banks store (mean, log sigma).
+A `MembershipBank` holds N trainable membership functions for one
+modality's one-channel image.  Triangular banks keep the ordering a < b < c
+valid under gradient updates by storing (a, log(b-a), log(c-b)) and
+reconstructing; Gaussian banks store (mean, log sigma).
 
 Encoders turn [0,1] images into spike trains: `fuzzy_encode` drives one
 integrate-and-fire neuron per membership degree (pure integrator, threshold
@@ -38,7 +38,7 @@ def spread_triangles(n: int) -> np.ndarray:
 
 
 class MembershipBank(ad.Module):
-    """N trainable membership functions over [0,1] for one input channel."""
+    """N trainable membership functions over [0,1] for one modality."""
 
     def __init__(self, kind: str = TRIANGULAR, n: int = 3,
                  params: np.ndarray | None = None):
@@ -114,42 +114,30 @@ def if_spike_train(drive: Tensor, t_steps: int, alpha: float = 2.0) -> Tensor:
                                repeat=True)
 
 
-def fuzzy_encode(banks: list[MembershipBank], image, t_steps: int,
+def fuzzy_encode(bank: MembershipBank, image, t_steps: int,
                  alpha: float = 2.0) -> Tensor:
-    """Encode a (C,H,W) or (B,C,H,W) image into (T*B, N*C, H, W) spikes.
+    """Encode a (B,1,H,W) batch of one-channel images into (T*B, N, H, W)
+    spikes, T-major.
 
-    Each image channel expands into its bank's N membership channels; the
-    degrees drive IF neurons for `t_steps` steps.  An unbatched image is a
-    batch of one.
+    The bank's N membership degrees of each pixel drive IF neurons for
+    `t_steps` steps.  Any other image shape is a ShapeError.
     """
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim == 3:
-        img = img[None]
-    if img.shape[1] != len(banks):
-        raise ad.ShapeError(
-            f"{img.shape[1]} image channels but {len(banks)} banks")
-    per_channel = []
-    for ci, bank in enumerate(banks):
-        mu = membership_eval(bank, img[:, ci])      # (N, B, H, W)
-        per_channel.append(ad.transpose(mu, (1, 0, 2, 3)))
-    drive = ad.concat(per_channel, axis=1)          # (B, N*C, H, W)
-    return if_spike_train(drive, t_steps, alpha=alpha)
+    if img.ndim != 4 or img.shape[1] != 1:
+        raise ad.ShapeError(f"expected a (B,1,H,W) batch, got {img.shape}")
+    mu = membership_eval(bank, img[:, 0])           # (N, B, H, W)
+    return if_spike_train(ad.transpose(mu, (1, 0, 2, 3)), t_steps, alpha=alpha)
 
 
 def rate_encode(image, t_steps: int, rng: np.random.Generator) -> Tensor:
     """Bernoulli rate coding: spike probability equals the pixel value.
 
     A (B, ...) image gives (T*B, ...) spikes, T-major, drawing step t's
-    noise before step t+1's.
+    noise before step t+1's.  The caller checks the window and the pixels.
     """
-    if t_steps <= 0:
-        raise ValueError("simulation window must be positive")
     img = np.asarray(image, dtype=np.float64)
-    if not np.all((img >= 0.0) & (img <= 1.0)):        # NaN fails both
-        raise ValueError("rate coding requires pixels in [0,1]")
-    spikes = np.concatenate([rng.random(img.shape) < img
-                             for _ in range(t_steps)])
-    return ad.as_tensor(spikes)
+    spikes = rng.random((t_steps,) + img.shape) < img
+    return ad.as_tensor(spikes.reshape((-1,) + img.shape[1:]))
 
 
 def accumulate_population(spikes: Tensor, weights: Tensor,
@@ -170,7 +158,8 @@ def accumulate_population(spikes: Tensor, weights: Tensor,
 
 
 class NeuralDecoder(ad.Module):
-    """Compact ReLU network mapping population activations to Q-values."""
+    """Compact ReLU network mapping a (B, M*|A|) batch of population
+    activations to (B, |A|) Q-values."""
 
     def __init__(self, m: int, n_actions: int, hidden: int = 64,
                  rng: np.random.Generator | None = None):
@@ -184,12 +173,8 @@ class NeuralDecoder(ad.Module):
         self.b2 = Tensor(np.zeros(n_actions), name="dec_b2")
 
     def __call__(self, lam: Tensor) -> Tensor:
-        squeeze = len(lam.shape) == 1
-        if squeeze:
-            lam = ad.reshape(lam, (1,) + lam.shape)
         h = ad.relu(lam @ self.w1 + self.b1)
-        q = h @ self.w2 + self.b2
-        return ad.reshape(q, q.shape[1:]) if squeeze else q
+        return h @ self.w2 + self.b2
 
 
 def centroid_positions(m: int) -> np.ndarray:

@@ -35,11 +35,10 @@ VARIANTS = {
 @dataclass
 class NetworkConfig:
     variant: str = "fuzzy"
-    n_membership: int = 3            # N functions per input channel
+    n_membership: int = 3            # N functions per modality
     m_population: int = 5            # M output neurons per action
     t_steps: int = 5
     surrogate_alpha: float = 2.0
-    obs_channels: int = 1
     obs_hw: tuple[int, int] = (32, 32)
     conv_channels: tuple[int, ...] = (8, 16, 16)
     conv_kernel: int = 3
@@ -60,9 +59,9 @@ class NetworkConfig:
             raise ValueError(f"unknown variant {self.variant!r}; "
                              f"choose from {sorted(VARIANTS)}")
         small = [name for name in (
-            "n_membership", "m_population", "t_steps", "obs_channels",
-            "obs_hw", "conv_channels", "conv_kernel", "conv_stride", "c_emb",
-            "n_heads", "d_ff", "fc_hidden", "dec_hidden")
+            "n_membership", "m_population", "t_steps", "obs_hw",
+            "conv_channels", "conv_kernel", "conv_stride", "c_emb", "n_heads",
+            "d_ff", "fc_hidden", "dec_hidden")
             if min(np.ravel(getattr(self, name)), default=0) < 1]
         if small:
             raise ValueError(f"sizes must be at least 1: {', '.join(small)}")
@@ -89,9 +88,8 @@ class NetworkConfig:
         return self.t_steps if self.spiking else 1
 
     def conv_input_channels(self) -> int:
-        if self.encoder == "fuzzy":
-            return self.n_membership * self.obs_channels
-        return self.obs_channels
+        """Each modality is one-channel; the fuzzy encoder expands it to N."""
+        return self.n_membership if self.encoder == "fuzzy" else 1
 
     def token_grid(self) -> tuple[int, int]:
         h, w = self.obs_hw
@@ -153,12 +151,9 @@ class QNetwork:
                             tau_m=cfg.tau_m, theta_pos=cfg.theta_pos,
                             alpha=cfg.surrogate_alpha, t_steps=cfg.effective_t)
 
-        self.banks: dict[str, list[fuzzy.MembershipBank]] = {}
-        if cfg.encoder == "fuzzy":
-            for mod in ("m1", "m2"):
-                self.banks[mod] = [
-                    fuzzy.MembershipBank(cfg.membership_kind, cfg.n_membership)
-                    for _ in range(cfg.obs_channels)]
+        self.banks: dict[str, fuzzy.MembershipBank] = (
+            {mod: fuzzy.MembershipBank(cfg.membership_kind, cfg.n_membership)
+             for mod in ("m1", "m2")} if cfg.encoder == "fuzzy" else {})
 
         # Spiking layers start with inflated weights so sparse binary inputs
         # can reach threshold; the ReLU baseline keeps the standard scale.
@@ -196,10 +191,10 @@ class QNetwork:
         # The one ordered list of layers; parameter names (and so checkpoint
         # records) and the topology signature come from it.  The
         # population weights are a bare parameter between head and decoder.
+        # A bank keeps the "bank0" prefix of the per-channel naming it
+        # replaced, so checkpoint records and digests stay the same.
         self.layers: list[tuple[str, ad.Module | Tensor]] = [
-            (f"{mod}.bank{ci}", bank)
-            for mod, banks in self.banks.items()
-            for ci, bank in enumerate(banks)]
+            (f"{mod}.bank0", bank) for mod, bank in self.banks.items()]
         for mod in ("m1", "m2"):
             self.layers += [(f"{mod}.conv{bi}", block)
                             for bi, block in enumerate(self.convs[mod])]
@@ -259,7 +254,7 @@ class QNetwork:
     # -- forward ------------------------------------------------------------
 
     def _encode(self, mod: str, image: np.ndarray) -> Tensor:
-        """(B,C,H,W) images -> (T*B, C', H, W) encoder output, T-major."""
+        """(B,1,H,W) images -> (T*B, C', H, W) encoder output, T-major."""
         cfg = self.cfg
         if cfg.encoder == "fuzzy":
             return fuzzy.fuzzy_encode(self.banks[mod], image, cfg.t_steps,
@@ -270,7 +265,7 @@ class QNetwork:
         return ad.as_tensor(image)
 
     def _branch(self, mod: str, image: np.ndarray) -> Tensor:
-        """One modality: (B,C,H,W) images in [0,1] -> (T*B, n_tokens, c_emb)
+        """One modality: (B,1,H,W) images in [0,1] -> (T*B, n_tokens, c_emb)
         token spikes through the encoder, conv blocks and embedding."""
         pixels = np.asarray(image)
         if not np.all((pixels >= 0.0) & (pixels <= 1.0)):  # NaN fails both
@@ -282,7 +277,7 @@ class QNetwork:
 
     def forward(self, bev: np.ndarray, lidar: np.ndarray
                 ) -> tuple[Tensor, Tensor | None]:
-        """Batched forward: (B,C,H,W) images in [0,1] -> (B,|A|) Q tensor
+        """Batched forward: (B,1,H,W) images in [0,1] -> (B,|A|) Q tensor
         and the (B, M*|A|) population activations (None for 'none').  A
         pixel outside [0,1], NaN included, is a ValueError.
 
@@ -317,7 +312,7 @@ def count_multiplications(net: QNetwork) -> dict:
     instrumented forward of each stage for one random image."""
     cfg = net.cfg
     h, w = cfg.obs_hw
-    image = np.random.default_rng(0).random((1, cfg.obs_channels, h, w))
+    image = np.random.default_rng(0).random((1, 1, h, w))
 
     with ad.count_mults() as c:
         spikes = net._encode("m1", image)
@@ -329,15 +324,14 @@ def count_multiplications(net: QNetwork) -> dict:
         ad.conv2d(first_in, first.kernels, first.stride, first.padding)
     measured_conv = c.mults
 
-    # The encoder is costed per image channel, and the first conv over the
-    # encoder's output channels.  Rate coding is comparison-only and 'none'
-    # has no encoder; a Gaussian degree costs two multiplications.
+    # The encoder is costed over the one image channel, and the first conv
+    # over the encoder's output channels.  Rate coding is comparison-only
+    # and 'none' has no encoder; a Gaussian degree costs two multiplications.
     conv = ConvSpec(cfg.conv_channels[0], cfg.conv_kernel, cfg.conv_stride,
                     cfg.conv_padding)
     per_image, expanded = (cost_model(channels, h, w, conv, cfg.n_membership,
                                       cfg.m_population, N_ACTIONS)
-                           for channels in (cfg.obs_channels,
-                                            cfg.conv_input_channels()))
+                           for channels in (1, cfg.conv_input_channels()))
     per_degree = 2 if cfg.membership_kind == fuzzy.GAUSSIAN else 1
     return {
         "encoder": {"analytic": (per_image.fuzzy_encoder * per_degree

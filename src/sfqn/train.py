@@ -28,6 +28,8 @@ class Transition:
     terminal: bool
 
     def __post_init__(self):
+        if not isinstance(self.action, (int, np.integer)):
+            raise ValueError(f"action {self.action!r} is not an integer")
         if not 0 <= self.action < N_ACTIONS:
             raise ValueError(f"action {self.action} out of range")
         if not np.isfinite(self.reward):

@@ -110,15 +110,15 @@ def _cli_cost_table(tmp_path, cfg: NetworkConfig, channels: int) -> dict:
 
 def test_criterion_4_counts_are_the_cli_cost_table(tmp_path):
     # the analytic side of criterion 4 is the table the CLI prints: the
-    # encoder per image channel (a Gaussian degree costs two
+    # encoder over the one image channel (a Gaussian degree costs two
     # multiplications), the first conv over the encoder's output channels
     for overrides in C4_SHAPES:
         cfg = NetworkConfig(**{**C4_BASE, **overrides})
         counts = count_multiplications(QNetwork(cfg))
         fuzzy = cfg.encoder == "fuzzy"
-        per_image = _cli_cost_table(tmp_path, cfg, cfg.obs_channels)
+        per_image = _cli_cost_table(tmp_path, cfg, 1)
         expanded = _cli_cost_table(
-            tmp_path, cfg, cfg.obs_channels * (cfg.n_membership if fuzzy else 1))
+            tmp_path, cfg, cfg.n_membership if fuzzy else 1)
         per_degree = 2 if cfg.membership_kind == "gaussian" else 1
         assert counts["encoder"]["analytic"] == (
             per_image["fuzzy_encoder"] * per_degree if fuzzy

@@ -89,9 +89,9 @@ lidar_sectors = 32
 """
 
 
-def smoke_cfg_file(tmp_path, extra=""):
+def smoke_cfg_file(tmp_path, text=SMOKE):
     path = tmp_path / "smoke.cfg"
-    path.write_text(SMOKE + extra)
+    path.write_text(text)
     return path
 
 
@@ -205,6 +205,24 @@ def test_config_bad_value_and_missing_equals():
         parse_config("just words\n")
 
 
+@pytest.mark.parametrize("text", ["seeds =", "conv_channels = 8,,16"])
+def test_config_empty_list_entries_rejected(text):
+    # an empty list or entry is a bad value, never dropped
+    with pytest.raises(ConfigError, match="line 1: bad value"):
+        parse_config(text + "\n")
+
+
+def test_config_repeated_key_names_both_lines():
+    with pytest.raises(ConfigError, match="line 3: key 'lr' repeats line 1"):
+        parse_config("lr = 0.1\nbatch = 8\nlr = 0.2\n")
+
+
+def test_config_negative_seed_rejected():
+    # caught at parse time, not when the seed's network is built
+    with pytest.raises(ConfigError, match="seeds"):
+        parse_config("seeds = 0,-1\n")
+
+
 def test_config_comments_ignored():
     cfg = parse_config("# header\nvariant = rate  # trailing\n")
     assert cfg.variant == "rate"
@@ -249,7 +267,7 @@ def test_cli_train_writes_artifacts_and_reproduces(tmp_path):
     assert main(["train", "--config", str(cfg_path), "--out", str(out),
                  "--quiet"]) == 0
     metrics = (out / "metrics.csv").read_bytes()
-    rows = list(csv.DictReader((out / "metrics.csv").open()))
+    rows = list(csv.DictReader(metrics.decode().splitlines()))
     assert len(rows) == 2                # checkpoints at steps 30 and 60
     assert (out / "fuzzy_seed0_step30.sfqn").exists()
     assert (out / "fuzzy_seed0_step60.sfqn").exists()
@@ -284,7 +302,8 @@ def test_cli_ablate_covers_matrix(tmp_path):
     out = tmp_path / "ablation"
     assert main(["ablate", "--config", str(cfg_path), "--out", str(out),
                  "--quiet"]) == 0
-    rows = list(csv.DictReader((out / "ablation.csv").open()))
+    rows = list(csv.DictReader(
+        (out / "ablation.csv").read_text().splitlines()))
     # one row per (variant, seed, checkpoint): 5 variants x 1 seed x 2 ckpts
     assert len(rows) == 10
     assert {r["variant"] for r in rows} == set(ABLATION_MATRIX)
@@ -298,7 +317,7 @@ def test_cli_analyze_capacity(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "raw_bits" in text and "512" in text
     table = {r["quantity"]: r["value"]
-             for r in csv.DictReader(csv_path.open())}
+             for r in csv.DictReader(csv_path.read_text().splitlines())}
     assert table["raw_bits"] == "512"
     assert table["rate_bits"] == "80"
     assert table["pop_bits"] == "240"
@@ -323,7 +342,7 @@ def test_cli_plot_membership_initial_triangles(tmp_path):
     assert main(["plot-membership",
                  "--checkpoint", str(out / "fuzzy_seed0_step30.sfqn"),
                  "--out", str(csv_path), "--samples", "101"]) == 0
-    rows = list(csv.DictReader(csv_path.open()))
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
     assert len(rows) == 101
     header = rows[0].keys()
     assert "p" in header
@@ -346,7 +365,7 @@ def test_cli_plot_membership_initial_triangles(tmp_path):
 def test_cli_plot_membership_gaussian_checkpoint(tmp_path):
     cfg = parse_config(SMOKE)
     net = QNetwork(cfg.network_config(0, "gaussian"))
-    params = net.banks["m2"][0].named_parameters()
+    params = net.banks["m2"].named_parameters()
     params["memb_mean"].value = np.array([0.1, 0.45, 0.9])
     params["memb_log_sigma"].value = np.log([0.05, 0.2, 0.1])
     ckpt = tmp_path / "gaussian.sfqn"
@@ -354,18 +373,19 @@ def test_cli_plot_membership_gaussian_checkpoint(tmp_path):
     csv_path = tmp_path / "curves.csv"
     assert main(["plot-membership", "--checkpoint", str(ckpt),
                  "--out", str(csv_path), "--samples", "51"]) == 0
-    rows = list(csv.DictReader(csv_path.open()))
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
     p = np.array([float(r["p"]) for r in rows])
     for mod in ("m1", "m2"):
         cols = [f"{mod}.bank0.mu_{i}" for i in (1, 2, 3)]
         curves = np.array([[float(r[c]) for c in cols] for r in rows]).T
-        expect = membership_eval(net.banks[mod][0], p).value
+        expect = membership_eval(net.banks[mod], p).value
         assert np.allclose(curves, expect, atol=1e-5)    # float32 records
     assert abs(p[int(np.argmax(curves[2]))] - 0.9) < 0.02
 
 
 def test_cli_train_variant_override(tmp_path):
-    cfg_path = smoke_cfg_file(tmp_path, "total_steps = 30\n")
+    cfg_path = smoke_cfg_file(
+        tmp_path, SMOKE.replace("total_steps = 60", "total_steps = 30"))
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg_path), "--variant",
                  "nonspiking", "--out", str(out), "--quiet"]) == 0

@@ -168,20 +168,22 @@ def test_if_train_rejects_bad_window():
         if_spike_train(Tensor(np.zeros(1)), 0)
 
 
-def test_fuzzy_encode_channel_expansion():
-    banks = [MembershipBank("triangular", 3), MembershipBank("triangular", 3)]
-    img = np.random.default_rng(0).random((2, 4, 4))
-    spikes = fuzzy_encode(banks, img, t_steps=5)
-    assert spikes.shape == (5, 6, 4, 4)      # T steps of one image, N*C channels
-    assert set(np.unique(spikes.value)) <= {0.0, 1.0}
-    batched = fuzzy_encode(banks, np.stack([img, img[:, ::-1]]), t_steps=5)
-    assert batched.shape == (10, 6, 4, 4)    # T-major: row t*B + b
-    assert np.array_equal(batched.value[0::2], spikes.value)
+def test_fuzzy_encode_one_channel_batch():
+    bank = MembershipBank("triangular", 3)
+    imgs = np.random.default_rng(0).random((2, 1, 4, 4))
+    batched = fuzzy_encode(bank, imgs, t_steps=5)
+    assert batched.shape == (10, 3, 4, 4)    # T-major: row t*B + b, N channels
+    assert set(np.unique(batched.value)) == {0.0, 1.0}
+    for b in range(2):
+        alone = fuzzy_encode(bank, imgs[b:b + 1], t_steps=5)
+        assert np.array_equal(batched.value[b::2], alone.value)
 
 
-def test_fuzzy_encode_bank_count_mismatch():
+@pytest.mark.parametrize("shape", [(2, 2, 3, 3), (1, 3, 3)],
+                         ids=["two_channels", "unbatched"])
+def test_fuzzy_encode_rejects_all_but_one_channel_batches(shape):
     with pytest.raises(ad.ShapeError):
-        fuzzy_encode([MembershipBank()], np.zeros((2, 3, 3)), 5)
+        fuzzy_encode(MembershipBank(), np.zeros(shape), 5)
 
 
 def test_rate_encode_extremes_and_concentration():
@@ -195,13 +197,6 @@ def test_rate_encode_extremes_and_concentration():
                         np.random.default_rng(7))
     rate = np.mean(train.value)
     assert 0.48 <= rate <= 0.52
-
-
-def test_rate_encode_clamp_warning_counter():
-    # out-of-range or NaN pixels are rejected, never silently clamped
-    for bad in (1.5, -0.5, np.nan):
-        with pytest.raises(ValueError, match=r"\[0,1\]"):
-            rate_encode(np.array([[[0.5, bad]]]), 3, np.random.default_rng(0))
 
 
 def test_accumulate_population_hand_sum():
@@ -236,8 +231,10 @@ def test_accumulate_population_shape_mismatch():
 
 def test_decode_neural_zero_input_zero_bias():
     dec = NeuralDecoder(m=5, n_actions=5)
-    q = dec(Tensor(np.zeros(25)))
-    assert np.all(q.value == 0.0)
+    q = dec(Tensor(np.zeros((1, 25))))
+    assert q.shape == (1, 5) and np.all(q.value == 0.0)
+    with pytest.raises(ad.ShapeError):       # batches only
+        dec(Tensor(np.zeros(25)))
 
 
 def test_decode_neural_identity_construction():
@@ -254,9 +251,9 @@ def test_decode_neural_identity_construction():
     dec.b1.value[:] = 0.0
     dec.b2.value[:] = 0.0
 
-    lam = np.random.default_rng(1).standard_normal(m * a)
+    lam = np.random.default_rng(1).standard_normal((1, m * a))
     q = dec(Tensor(lam))
-    assert np.allclose(q.value, lam.reshape(a, m).mean(axis=1))
+    assert np.allclose(q.value[0], lam.reshape(a, m).mean(axis=1))
 
 
 def test_decode_centroid_hand_cases():

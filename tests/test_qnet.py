@@ -20,8 +20,8 @@ def tiny_cfg(**overrides) -> NetworkConfig:
 def rand_obs(cfg, seed=0):
     rng = np.random.default_rng(seed)
     h, w = cfg.obs_hw
-    return {"bev": rng.random((cfg.obs_channels, h, w)),
-            "lidar_grid": rng.random((cfg.obs_channels, h, w))}
+    return {"bev": rng.random((1, h, w)),
+            "lidar_grid": rng.random((1, h, w))}
 
 
 def test_unknown_variant_rejected():
@@ -103,7 +103,7 @@ def test_max_q_gradient_reaches_membership_params():
     seed[0, best] = 1.0
     q.backward(seed)
     grads = [np.abs(b._log_ab.grad).max() + np.abs(b._a.grad).max()
-             for b in net.banks["m1"] + net.banks["m2"]
+             for b in net.banks.values()
              if b._a.grad is not None]
     assert grads and max(grads) > 0.0
 
@@ -117,7 +117,7 @@ def test_membership_param_fd_probe():
     def max_q():
         return float(net.q_values(obs).q.max())
 
-    bank = net.banks["m1"][0]
+    bank = net.banks["m1"]
     base = max_q()
     eps = 1e-3
     bank._log_ab.value[1] += eps

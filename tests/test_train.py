@@ -54,6 +54,14 @@ def test_transition_validation():
         Transition(obs, 1, float("nan"), obs, False)
 
 
+def test_transition_rejects_non_integral_action():
+    obs = rand_obs()
+    Transition(obs, np.int64(2), 0.0, obs, False)
+    for action in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="not an integer"):
+            Transition(obs, action, 0.0, obs, False)
+
+
 def test_transition_action_bound_is_n_actions():
     obs = rand_obs()
     Transition(obs, N_ACTIONS - 1, 0.0, obs, False)
@@ -156,7 +164,7 @@ def test_train_step_leaves_target_untouched_and_updates_membership():
     tgt = tiny_net()
     tgt.copy_parameters_from(net)
     tgt_digest = tgt.parameter_digest()
-    before = net.banks["m1"][0]._log_ab.value.copy()
+    before = net.banks["m1"]._log_ab.value.copy()
     buf = ReplayBuffer(10)
     rng = np.random.default_rng(0)
     for i in range(4):
@@ -169,7 +177,7 @@ def test_train_step_leaves_target_untouched_and_updates_membership():
     loss = train_step(net, tgt, buf, cfg, opt, rng)
     assert loss is not None and np.isfinite(loss)
     assert tgt.parameter_digest() == tgt_digest
-    after = net.banks["m1"][0]._log_ab.value
+    after = net.banks["m1"]._log_ab.value
     assert np.any(after != before)          # end-to-end gradient reached banks
 
 
