@@ -3,18 +3,23 @@
 Values are numpy float64 arrays of rank <= 4.  Each `Tensor` records its
 parents and a backward closure; `Tensor.backward()` walks the graph once in
 reverse topological order and accumulates gradients (shared subexpressions
-sum).  Inside `no_grad()` ops record no parents or closures, so inference
-forwards build no graph.  Inputs wrapped by `as_tensor` are constants: a
-node built only from constants records no graph either, and backward
-computes no gradient for a constant operand.  Spike nonlinearities get a
-hard forward (Heaviside) with an arctangent surrogate derivative that is
-computed only when backward runs.  `spike_recurrence` runs a whole (L)IF
-membrane recurrence over T steps as one node, with backpropagation through
+sum).  The walk consumes the graph: each interior node drops its gradient,
+closure and parent links once it has passed its gradient on, so saved
+arrays are freed during the walk and a graph runs backward once.  Inside
+`no_grad()` ops record no parents or closures, so inference forwards build
+no graph.  Inputs wrapped by `as_tensor` are constants: a node built only
+from constants records no graph either, and backward computes no gradient
+for a constant operand.  Spike nonlinearities get a hard forward
+(Heaviside) with an arctangent surrogate derivative that is computed only
+when backward runs.  `spike_recurrence` runs a whole (L)IF membrane
+recurrence over T steps as one node, with backpropagation through
 time in its backward.
 
 A process-global multiplication counter can be armed with `count_mults()`;
 the dense kernels (matmul, conv2d, triangular membership eval) report the
-number of scalar multiplications they execute while it is armed.
+number of scalar multiplications they execute while it is armed; `conv2d`
+computes only the samples whose input holds a nonzero but counts the dense
+operation.
 """
 
 from __future__ import annotations
@@ -142,7 +147,13 @@ class Tensor:
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Accumulate gradients of self w.r.t. every reachable parent.
 
-        Visits each node exactly once in reverse topological order.
+        Visits each node exactly once in reverse topological order and
+        consumes the graph as it goes: once an interior node (one with
+        parents) has passed its gradient on, it drops its gradient, its
+        backward closure and its parent links, so the arrays its closure
+        saved are freed during the walk.  Leaves keep `.grad`.  Backward
+        therefore runs once per graph; a second `backward()` that reaches a
+        consumed node raises `ValueError`.
         """
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -168,9 +179,12 @@ class Tensor:
             seed = np.ones_like(self.value)
         self.grad = np.asarray(seed, dtype=np.float64).reshape(self.value.shape)
 
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node.parents:
+                node.grad, node._backward, node.parents = None, _consumed, ()
 
     # -- operator sugar -----------------------------------------------------
 
@@ -201,6 +215,13 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, name={self.name!r})"
+
+
+def _consumed(g) -> None:
+    """Backward rule left on an interior node after backward passed it."""
+    raise ValueError("backward() reached a node of a graph that an earlier "
+                     "backward() consumed; run the forward again to get a "
+                     "new graph")
 
 
 def as_tensor(x) -> Tensor:
@@ -438,11 +459,15 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
     patch-index map sends patch entry (c*l*l + i*l + j, oh*Wo + ow) to the
     flat index of x[c, oh*s+i-p, ow*s+j-p] in its sample, or, for a tap in
     the padding, to a zero slot after the sample's C*H*W values.  Forward
-    gathers the patch matrix along it with `np.take`.  Backward runs over
-    blocks of whole samples, about SPIKE_BLOCK patch entries each: per block
-    one GEMM writes the patch gradients into a reused buffer, and one
-    `np.bincount` through a block-sized index adds each input cell's taps in
-    kernel order.
+    gathers the patch matrix along it with `np.take`, only for the live
+    samples (those with a nonzero or NaN input), and runs one GEMM per live
+    sample; a dead sample's output is exact zeros.  The multiplication count
+    is that of the dense operation.  Backward computes the kernel gradient
+    from the live samples' patches; the input gradient covers every sample
+    and runs over blocks of whole samples, about SPIKE_BLOCK patch entries
+    each: per block one GEMM writes the patch gradients into a reused
+    buffer, and one `np.bincount` through a block-sized index adds each
+    input cell's taps in kernel order.
     """
     x, kernels = as_tensor(x), as_tensor(kernels)
     if x.value.ndim not in (3, 4) or kernels.value.ndim != 4:
@@ -460,18 +485,27 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
     cell = np.arange(c)[:, None, None, None, None] * (h * w) + r * w + q
     inside = (r >= 0) & (r < h) & (q >= 0) & (q < w)
     idx = np.where(inside, cell, c * h * w).reshape(c * l * l, h_out * w_out)
-    slots = np.zeros((b, c * h * w + 1))          # last slot: the zero pad
-    slots[:, :-1] = x.value.reshape(b, c * h * w)
-    cols = np.take(slots, idx, axis=1)            # (B, C*l*l, Ho*Wo)
+    rows = x.value.reshape(b, c * h * w)
+    live = np.flatnonzero(rows.any(axis=1))       # NaN counts as nonzero
+    dense = live.size == b
+    slots = np.zeros((live.size, c * h * w + 1))  # last slot: the zero pad
+    slots[:, :-1] = rows if dense else rows[live]
+    cols = np.take(slots, idx, axis=1)            # (live, C*l*l, Ho*Wo)
     kmat = kernels.value.reshape(c_out, c * l * l)
-    out = np.matmul(kmat, cols)                   # (B, Cout, Ho*Wo)
+    out = np.matmul(kmat, cols)                   # (live, Cout, Ho*Wo)
+    if not dense:                                 # dead rows give exact zeros
+        out, live_out = np.zeros((b,) + out.shape[1:]), out
+        out[live] = live_out
     record_mults(out.size * kmat.shape[1])
     out = out.reshape(x.shape[:-3] + (c_out, h_out, w_out))
 
     def backward(g):
         gmat = g.reshape(b, c_out, h_out * w_out)
         if not kernels.constant:
-            _acc(kernels, np.matmul(gmat, cols.transpose(0, 2, 1)).sum(0)
+            # the axis-0 sum adds slice by slice, so leaving out the dead
+            # rows' all-zero slices changes no bit
+            _acc(kernels, np.matmul(gmat if dense else gmat[live],
+                                    cols.transpose(0, 2, 1)).sum(0)
                  .reshape(kernels.value.shape))
         if x.constant:
             return

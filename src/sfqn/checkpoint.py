@@ -8,6 +8,7 @@ File layout: magic b"SFQN", u16 version (=1), then a sequence of records
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -21,21 +22,46 @@ class CheckpointFormatError(ValueError):
     pass
 
 
+def _encode(name: str, arr) -> bytes:
+    """One record's bytes; `CheckpointFormatError` unless the layout can
+    hold it: rank <= 4, a name of at most 65535 utf-8 bytes, dims below
+    2**32 and finite values within float32 range."""
+    encoded = name.encode("utf-8")
+    if len(encoded) > 0xFFFF:
+        raise CheckpointFormatError(
+            f"record name of {len(encoded)} bytes exceeds 65535")
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim > 4:
+        raise CheckpointFormatError(f"record {name!r} has rank {arr.ndim}")
+    if max(arr.shape, default=0) > 0xFFFFFFFF:
+        raise CheckpointFormatError(
+            f"record {name!r} shape {arr.shape} has a dim of 2**32 or more")
+    with np.errstate(over="ignore"):      # overflow shows as inf below
+        values = arr.astype("<f4")
+    if not np.all(np.isfinite(values)):
+        raise CheckpointFormatError(
+            f"record {name!r} holds values that are not finite in float32")
+    return (struct.pack("<H", len(encoded)) + encoded
+            + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
+            + values.tobytes(order="C"))
+
+
 def save_records(path, records: dict[str, np.ndarray]) -> None:
-    """Write named arrays (rank <= 4) to `path` in insertion order."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", VERSION))
-        for name, arr in records.items():
-            arr = np.asarray(arr, dtype=np.float32)
-            if arr.ndim > 4:
-                raise CheckpointFormatError(f"record {name!r} has rank {arr.ndim}")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f4").tobytes(order="C"))
+    """Write named arrays (rank <= 4) to `path` in insertion order.
+
+    Every record is checked before anything is written, and the file is
+    written next to `path` and then renamed onto it, so a failed save
+    leaves any earlier file at `path` as it was."""
+    data = b"".join([MAGIC, struct.pack("<H", VERSION)]
+                    + [_encode(name, arr) for name, arr in records.items()])
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def load_records(path) -> dict[str, np.ndarray]:

@@ -11,6 +11,7 @@ list entries and negative seeds are a `ConfigError`.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import field, fields, make_dataclass
 from pathlib import Path
 
@@ -99,7 +100,10 @@ def _coerce(field, raw: str):
     if t in ("int", int):
         return int(raw)
     if t in ("float", float):
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"{raw!r} is not a finite number")
+        return value
     if t in ("str", str):
         return raw
     if t.startswith("tuple"):

@@ -9,6 +9,7 @@ non-spiking baseline has neither encoder nor decoder: ReLU activations, one
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,17 @@ class NetworkConfig:
             if min(np.ravel(getattr(self, name)), default=0) < 1]
         if small:
             raise ValueError(f"sizes must be at least 1: {', '.join(small)}")
-        nonpositive = [name for name in ("tau_m", "surrogate_alpha")
-                       if not getattr(self, name) > 0]
+        # a NaN or infinite value, or one of the wrong sign, silences or
+        # saturates the network
+        nonpositive = [name for name in ("tau_m", "surrogate_alpha",
+                                         "theta_pos")
+                       if not 0 < getattr(self, name) < math.inf]
         if nonpositive:
-            raise ValueError(f"must be positive: {', '.join(nonpositive)}")
+            raise ValueError(f"must be positive and finite: "
+                             f"{', '.join(nonpositive)}")
+        if not -math.inf < self.theta_neg < 0:
+            raise ValueError(f"theta_neg must be negative and finite, got "
+                             f"{self.theta_neg}")
         if self.c_emb % self.n_heads:
             raise ValueError(f"c_emb {self.c_emb} does not split into "
                              f"n_heads {self.n_heads} equal heads")

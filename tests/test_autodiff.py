@@ -167,6 +167,87 @@ def test_conv2d_backward_allocates_only_block_buffers():
     assert used <= full + slack
 
 
+def _dense_conv2d(x, k, stride, pad, g):
+    """Reference out, dx and dk of the dense im2col path: every sample's
+    patches are gathered and multiplied, live or not."""
+    c_out, c, l, _ = k.shape
+    b, (h, w) = math.prod(x.shape[:-3]), x.shape[-2:]
+    h_out, w_out = ad.conv2d_extents(h, w, l, stride, pad)
+    taps = np.arange(l)[:, None]
+    r = (stride * np.arange(h_out) + taps - pad)[:, None, :, None]
+    q = (stride * np.arange(w_out) + taps - pad)[None, :, None, :]
+    cell = np.arange(c)[:, None, None, None, None] * (h * w) + r * w + q
+    inside = (r >= 0) & (r < h) & (q >= 0) & (q < w)
+    idx = np.where(inside, cell, c * h * w).reshape(c * l * l, h_out * w_out)
+    n = c * h * w + 1
+    slots = np.zeros((b, n))
+    slots[:, :-1] = x.reshape(b, n - 1)
+    cols = np.take(slots, idx, axis=1)
+    kmat = k.reshape(c_out, c * l * l)
+    gmat = g.reshape(b, c_out, h_out * w_out)
+    dk = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(0).reshape(k.shape)
+    index = (idx + n * np.arange(b)[:, None, None]).ravel()
+    dx = np.bincount(index, weights=np.matmul(kmat.T, gmat).ravel(),
+                     minlength=b * n).reshape(b, n)[:, :-1]
+    return np.matmul(kmat, cols).reshape(g.shape), dx.reshape(x.shape), dk
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes and bytes: tells -0.0 from 0.0 and matches NaN."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _spike_batch(rng, shape, dead):
+    """{0, 1} spikes with the samples in `dead` all zero."""
+    x = (rng.random(shape) < 0.1).astype(np.float64)
+    x[list(dead)] = 0.0
+    return x
+
+
+LIVE_ROW_CASES = {
+    "dead_rows": lambda rng: _spike_batch(rng, (6, 3, 7, 6), (0, 2, 3)),
+    "all_dead": lambda rng: np.zeros((4, 3, 7, 6)),
+    "all_live": lambda rng: rng.standard_normal((4, 3, 7, 6)),
+    "negative_zero_row": lambda rng: np.where(
+        np.arange(5)[:, None, None, None] == 1, -0.0,
+        _spike_batch(rng, (5, 3, 7, 6), (3,))),
+    "unbatched": lambda rng: _spike_batch(rng, (3, 7, 6), ()),
+    "unbatched_dead": lambda rng: np.zeros((3, 7, 6)),
+}
+
+
+@pytest.mark.parametrize("case", list(LIVE_ROW_CASES))
+@pytest.mark.parametrize("l,stride,pad", [(3, 2, 1), (3, 1, 0), (2, 3, 1)])
+def test_conv2d_live_rows_bitwise_dense(case, l, stride, pad):
+    """Gathering and multiplying only the samples with a nonzero input
+    gives the dense path's forward, dx and dk bit for bit."""
+    rng = np.random.default_rng(7)
+    x = LIVE_ROW_CASES[case](rng)
+    k = rng.standard_normal((4, 3, l, l))
+    xt, kt = Tensor(x), Tensor(k)
+    out = ad.conv2d(xt, kt, stride, pad)
+    g = rng.standard_normal(out.shape)
+    out.backward(g)
+    ref_out, ref_dx, ref_dk = _dense_conv2d(x, k, stride, pad, g)
+    assert _same_bits(out.value, ref_out)
+    assert _same_bits(xt.grad, ref_dx)
+    assert _same_bits(kt.grad, ref_dk)
+
+
+def test_conv2d_nan_row_is_live_and_counts_are_dense():
+    rng = np.random.default_rng(8)
+    x = _spike_batch(rng, (4, 2, 6, 6), (0, 1, 3))
+    x[1, 0, 2, 2] = np.nan                    # the only nonzero of sample 1
+    k = rng.standard_normal((3, 2, 3, 3))
+    with ad.count_mults() as counter:
+        out = ad.conv2d(Tensor(x), Tensor(k), 1, 1)
+    assert counter.mults == 4 * 3 * 36 * 2 * 9     # B*Cout*Ho*Wo*C*l*l
+    assert np.isnan(out.value[1]).any()
+    assert not out.value[[0, 3]].any()
+    ref_out, _, _ = _dense_conv2d(x, k, 1, 1, np.zeros(out.shape))
+    assert _same_bits(out.value, ref_out)
+
+
 @pytest.mark.parametrize("stride,pad", [(0, 1), (-1, 0), (1, -1)])
 def test_conv2d_rejects_bad_stride_or_padding(stride, pad):
     with pytest.raises(ad.ShapeError, match="stride"):
@@ -496,6 +577,42 @@ def test_check_finite():
 def test_backward_requires_scalar_without_seed():
     with pytest.raises(ad.ShapeError):
         (Tensor(np.ones(3)) * 2.0).backward()
+
+
+def _graph_nodes(out):
+    """Every node reachable from `out` through parent links."""
+    nodes, stack = {}, [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in nodes:
+            nodes[id(t)] = t
+            stack.extend(t.parents)
+    return list(nodes.values())
+
+
+def test_backward_consumes_the_graph_and_leaves_keep_gradients():
+    rng = np.random.default_rng(5)
+    a = Tensor(rng.standard_normal((4, 3)))
+    w = Tensor(rng.standard_normal((3, 2)))
+    img = Tensor(rng.standard_normal((2, 1, 4, 4)))
+    k = Tensor(rng.standard_normal((2, 1, 3, 3)))
+    h = a @ w                                  # shared by two paths
+    s = ad.spike_recurrence(ad.conv2d(img, k, 1, 1), 2)
+    loss = ad.tsum(h * h) + ad.tsum(h) + ad.tsum(s)
+    interior = [t for t in _graph_nodes(loss) if t.parents]
+    assert len(interior) > 5
+    loss.backward()
+    for t in interior:
+        assert t.grad is None and t.parents == ()
+        assert t._backward is ad._consumed      # holds no closure
+    dh = 2.0 * h.value + 1.0
+    assert np.allclose(w.grad, a.value.T @ dh, rtol=1e-12, atol=0)
+    assert np.allclose(a.grad, dh @ w.value.T, rtol=1e-12, atol=0)
+    assert k.grad.shape == k.shape and img.grad.shape == img.shape
+    with pytest.raises(ValueError, match="consumed"):
+        loss.backward()
+    with pytest.raises(ValueError, match="consumed"):
+        ad.tsum(h * 3.0).backward()            # a new graph over a used node
 
 
 def test_minimum_tie_goes_left():

@@ -58,6 +58,51 @@ def test_rank_limit_enforced(tmp_path):
         save_records(tmp_path / "x.sfqn", {"big": np.zeros((1,) * 5)})
 
 
+@pytest.mark.parametrize("records,match", [
+    ({"a": np.zeros(3), "b": np.zeros((1,) * 5)}, "rank 5"),
+    ({"x" * 65536: np.zeros(1)}, "65535"),
+    ({"w": np.array([1.0, 1e39])}, "finite"),
+    ({"w": np.array([np.nan])}, "finite"),
+    ({"w": np.array([-np.inf])}, "finite"),
+    ({"wide": np.zeros((2 ** 32, 0))}, "dim of 2"),
+], ids=["rank_after_a_good_record", "long_name", "float32_overflow", "nan",
+        "inf", "u32_dim"])
+def test_invalid_records_fail_before_anything_is_written(tmp_path, records,
+                                                         match):
+    path = tmp_path / "net.sfqn"
+    save_records(path, {"kept": np.arange(3.0)})
+    before = path.read_bytes()
+    with pytest.raises(CheckpointFormatError, match=match):
+        save_records(path, records)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["net.sfqn"]
+    with pytest.raises(CheckpointFormatError, match=match):
+        save_records(tmp_path / "new.sfqn", records)
+    assert not (tmp_path / "new.sfqn").exists()
+
+
+def test_largest_float32_saves(tmp_path):
+    path = tmp_path / "edge.sfqn"
+    edge = np.array([np.finfo(np.float32).max, np.finfo(np.float32).min])
+    save_records(path, {"edge": edge})
+    assert np.array_equal(load_records(path)["edge"], edge)
+
+
+def test_failed_write_leaves_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "net.sfqn"
+    save_records(path, {"kept": np.arange(3.0)})
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("sfqn.checkpoint.os.replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_records(path, {"new": np.zeros(2)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["net.sfqn"]
+
+
 def _two_records(tmp_path) -> bytes:
     path = tmp_path / "two.sfqn"
     save_records(path, {"conv.k": np.arange(6.0).reshape(1, 2, 3),

@@ -223,6 +223,36 @@ def test_config_negative_seed_rejected():
         parse_config("seeds = 0,-1\n")
 
 
+FLOAT_KEYS = [f.name for f in fields(ExperimentConfig)
+              if f.type in ("float", float)]
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_config_non_finite_float_rejected(key, raw):
+    with pytest.raises(ConfigError, match=f"line 2: bad value for '{key}'"):
+        parse_config(f"variant = fuzzy\n{key} = {raw}\n")
+
+
+@pytest.mark.parametrize("text", ["theta_pos = -1", "theta_pos = 0",
+                                  "theta_neg = 0", "theta_neg = 0.5"])
+def test_config_threshold_sign_rejected(text):
+    # a threshold of the wrong sign fires at rest: the network saturates
+    with pytest.raises(ConfigError, match="theta"):
+        parse_config(text + "\n")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("theta_pos", float("nan")), ("theta_pos", float("inf")),
+    ("theta_pos", -1.0), ("theta_neg", float("nan")),
+    ("theta_neg", float("-inf")), ("theta_neg", float("inf")),
+    ("tau_m", float("inf")), ("surrogate_alpha", float("inf"))])
+def test_network_config_rejects_silencing_values(key, value):
+    # a NaN threshold never fires; an infinite tau_m never charges
+    with pytest.raises(ValueError, match=key):
+        qnet.NetworkConfig(**{key: value})
+
+
 def test_config_comments_ignored():
     cfg = parse_config("# header\nvariant = rate  # trailing\n")
     assert cfg.variant == "rate"

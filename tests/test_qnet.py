@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -239,6 +240,32 @@ def test_no_grad_forward_is_bitwise_graph_forward(variant):
     if lam is not None:
         assert np.array_equal(lam_ng.value, lam.value)
     assert np.array_equal(net.q_values(obs).q, q.value[0])
+
+
+def test_backward_frees_the_graph_as_it_walks():
+    """Backward's own peak allocation stays below a quarter of the graph's
+    buffers, because each node's saved arrays go once it has passed its
+    gradient on; holding them all until the walk ends took about half."""
+    net = QNetwork(NetworkConfig(obs_hw=(16, 16)))
+    rng = np.random.default_rng(0)
+    bev, lidar = rng.random((8, 1, 16, 16)), rng.random((8, 1, 16, 16))
+    seed = rng.standard_normal((8, qnet.N_ACTIONS))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        q, _ = net.forward(bev, lidar)
+        loss = ad.tsum(q * seed)
+        graph = tracemalloc.get_traced_memory()[0] - start
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        used = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert graph > 4 * 2 ** 20
+    assert used < graph / 4
+    assert all(p.grad is not None for p in net.parameters())
+    assert q.parents == () and loss.parents == ()
 
 
 # sha256 prefixes of Q for batches of 1 and 3, recorded on the per-step
