@@ -26,10 +26,14 @@ class CapacityReport:
         return self.pop_bits / self.rate_bits
 
 
-def capacity(c: int, h: int, w: int, t: int, n: int, m: int) -> CapacityReport:
-    for name, v in (("C", c), ("H", h), ("W", w), ("T", t), ("N", n), ("M", m)):
+def _require_positive(**sizes: int) -> None:
+    for name, v in sizes.items():
         if v < 1:
-            raise ValueError(f"{name} must be a positive integer")
+            raise ValueError(f"{name} must be a positive integer, got {v}")
+
+
+def capacity(c: int, h: int, w: int, t: int, n: int, m: int) -> CapacityReport:
+    _require_positive(C=c, H=h, W=w, T=t, N=n, M=m)
     pixels = c * h * w
     return CapacityReport(
         raw_bits=32 * pixels,
@@ -58,6 +62,8 @@ class CostReport:
 
 def cost_model(c: int, h: int, w: int, conv: ConvSpec, n: int, m: int,
                n_actions: int) -> CostReport:
+    _require_positive(c=c, h=h, w=w, n=n, m=m, n_actions=n_actions,
+                      c_out=conv.c_out, kernel=conv.kernel)
     h_out, w_out = conv2d_extents(h, w, conv.kernel, conv.stride, conv.padding)
     return CostReport(
         fuzzy_encoder=c * n * h * w,

@@ -1,19 +1,24 @@
 """Minimal dense-array reverse-mode autodiff.
 
-Values are numpy float64 arrays of rank <= 4.  Each `Tensor` records its
-parents and a backward closure; `Tensor.backward()` walks the graph once in
-reverse topological order and accumulates gradients (shared subexpressions
-sum).  The walk consumes the graph: each interior node drops its gradient,
-closure and parent links once it has passed its gradient on, so saved
-arrays are freed during the walk and a graph runs backward once.  Inside
-`no_grad()` ops record no parents or closures, so inference forwards build
-no graph.  Inputs wrapped by `as_tensor` are constants: a node built only
-from constants records no graph either, and backward computes no gradient
-for a constant operand.  Spike nonlinearities get a hard forward
-(Heaviside) with an arctangent surrogate derivative that is computed only
-when backward runs.  `spike_recurrence` runs a whole (L)IF membrane
-recurrence over T steps as one node, with backpropagation through
-time in its backward.
+Values are numpy float64 arrays of rank <= 4.  A `Tensor` holds a value;
+each Tensor that takes a gradient also has a graph node (`_Node`) that
+holds its gradient, its parents' nodes and its backward rule, never a
+value.  A backward rule holds exactly the arrays it reads (saved operands,
+masks, membranes, patches) and the nodes it accumulates into, never an
+operand Tensor, so the graph keeps only what backward reads: an interior
+value no rule reads goes as soon as the forward drops its Tensor.
+`Tensor.backward()` walks the graph once in reverse topological order and
+accumulates gradients (shared subexpressions sum).  The walk consumes the
+graph: each interior node drops its gradient, rule and parent links once it
+has passed its gradient on, so saved arrays are freed during the walk and a
+graph runs backward once.  Inside `no_grad()` ops record no nodes, so
+inference forwards build no graph.  Inputs wrapped by `as_tensor` are
+constants: a Tensor built only from constants records no graph either, and
+backward computes no gradient for a constant operand.  Spike
+nonlinearities get a hard forward (Heaviside) with an arctangent surrogate
+derivative that is computed only when backward runs.  `spike_recurrence`
+runs a whole (L)IF membrane recurrence over T steps as one node, with
+backpropagation through time in its backward.
 
 A process-global multiplication counter can be armed with `count_mults()`;
 the dense kernels (matmul, conv2d, triangular membership eval) report the
@@ -81,8 +86,8 @@ def _set_flag(name: str, value):
 
 
 def no_grad():
-    """Ops inside the block record no parents or backward closures, so the
-    outputs are plain values and no graph is kept alive."""
+    """Ops inside the block record no graph nodes, so the outputs are plain
+    values and no graph is kept alive."""
     return _set_flag("grad", False)
 
 
@@ -105,29 +110,63 @@ def record_mults(n: int) -> None:
         c.mults += int(n)
 
 
+class _Node:
+    """Graph record of a Tensor that takes a gradient: its accumulated
+    `grad`, its parents' nodes and its backward rule.  It holds no value
+    (`value` reads None), so the graph keeps an array only where a backward
+    rule saved it."""
+
+    __slots__ = ("grad", "parents", "_backward")
+    value = None
+
+    def __init__(self, parents: tuple["_Node", ...] = (),
+                 backward: Callable[[np.ndarray], None] | None = None):
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self._backward = backward
+
+
 class Tensor:
-    """Node in the autodiff graph: a value plus a backward rule.
+    """A value, and the graph node of a value that takes a gradient.
 
-    A leaf is a parameter unless built with `constant=True`; a node needs a
-    gradient only if one of its parents does, and otherwise is a constant
-    that records no parents or backward rule."""
+    A leaf is a parameter unless built with `constant=True`; a Tensor needs
+    a gradient only if one of its parents does, and otherwise is a constant
+    that records no parents or backward rule.  `grad`, `parents` and
+    `_backward` read the node: parents are the nodes of the non-constant
+    operands, and a backward rule holds only the arrays it reads, never a
+    Tensor.  An interior value no rule reads therefore goes when the
+    forward drops the Tensor, while the graph behind it still
+    backpropagates."""
 
-    __slots__ = ("value", "grad", "parents", "_backward", "name", "constant")
+    __slots__ = ("value", "name", "constant", "_node")
 
     def __init__(self, value, parents: Sequence["Tensor"] = (),
                  backward: Callable[[np.ndarray], None] | None = None,
                  name: str | None = None, constant: bool = False):
         self.value = _as_array(value)
-        self.grad: np.ndarray | None = None
         self.constant = (all(p.constant for p in parents) if parents
                          else constant)
-        if _Flags.grad and not self.constant:
-            self.parents = tuple(parents)
-            self._backward = backward
-        else:
-            self.parents = ()
-            self._backward = None
+        self._node = (_Node(tuple(_grad_node(p) for p in parents
+                                  if not p.constant), backward)
+                      if _Flags.grad and not self.constant else None)
         self.name = name
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self._node = self._node or _Node()
+        self._node.grad = g
+
+    @property
+    def parents(self) -> tuple["_Node", ...]:
+        return () if self._node is None else self._node.parents
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], None] | None:
+        return None if self._node is None else self._node._backward
 
     @property
     def shape(self):
@@ -155,9 +194,10 @@ class Tensor:
         therefore runs once per graph; a second `backward()` that reaches a
         consumed node raises `ValueError`.
         """
-        topo: list[Tensor] = []
+        root = self._node = self._node or _Node()
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -177,7 +217,7 @@ class Tensor:
             if self.value.size != 1:
                 raise ShapeError("backward() without seed requires a scalar output")
             seed = np.ones_like(self.value)
-        self.grad = np.asarray(seed, dtype=np.float64).reshape(self.value.shape)
+        root.grad = np.asarray(seed, dtype=np.float64).reshape(self.value.shape)
 
         while topo:
             node = topo.pop()
@@ -245,9 +285,18 @@ class Module:
         return list(self.named_parameters().values())
 
 
-def _acc(t: "Tensor", g: np.ndarray) -> None:
-    """Lazily accumulate a gradient contribution into `t`."""
-    t.grad = g if t.grad is None else t.grad + g
+def _grad_node(t: Tensor) -> _Node | None:
+    """The node that `t`'s gradient accumulates into, or None if `t` takes
+    none (a constant, or any operand inside `no_grad`)."""
+    if t.constant or not _Flags.grad:
+        return None
+    t._node = t._node or _Node()    # built inside no_grad: a leaf from now on
+    return t._node
+
+
+def _acc(node: _Node, g: np.ndarray) -> None:
+    """Lazily accumulate a gradient contribution into `node`."""
+    node.grad = g if node.grad is None else node.grad + g
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -264,49 +313,63 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 # elementwise ops
 # ---------------------------------------------------------------------------
 
-def _binary(a: Tensor, b: Tensor, out_val: np.ndarray, grad_a,
-            grad_b) -> Tensor:
-    """Node of a broadcasting binary op: `grad_a(g)` and `grad_b(g)` are the
-    operands' gradients at the output's shape, each summed down to its
-    operand's shape and accumulated only if that operand takes one."""
+def _binary(a: Tensor, b: Tensor, out_val: np.ndarray, grad_a, grad_b,
+            x: np.ndarray | None = None, y: np.ndarray | None = None) -> Tensor:
+    """Node of a broadcasting binary op.  `grad_a(g, x, y)` and
+    `grad_b(g, x, y)` are the operands' gradients at the output's shape,
+    from the arrays `x` and `y` the op saves for them; each is summed down
+    to its operand's shape and accumulated only if that operand takes one.
+    The backward rule holds `x` and `y` itself, so they are all the graph
+    keeps of the op."""
+    na, nb = _grad_node(a), _grad_node(b)
+    shape_a, shape_b = a.value.shape, b.value.shape
+
     def backward(g):
-        if not a.constant:
-            _acc(a, _unbroadcast(grad_a(g), a.value.shape))
-        if not b.constant:
-            _acc(b, _unbroadcast(grad_b(g), b.value.shape))
+        if na is not None:
+            _acc(na, _unbroadcast(grad_a(g, x, y), shape_a))
+        if nb is not None:
+            _acc(nb, _unbroadcast(grad_b(g, x, y), shape_b))
 
     return Tensor(out_val, (a, b), backward)
 
 
+def _upstream(g, x, y):
+    return g
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary(a, b, a.value + b.value, lambda g: g, lambda g: g)
+    return _binary(a, b, a.value + b.value, _upstream, _upstream)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary(a, b, a.value - b.value, lambda g: g, lambda g: -g)
+    return _binary(a, b, a.value - b.value, _upstream, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
+    """Saves each operand only for the other operand's gradient."""
     a, b = as_tensor(a), as_tensor(b)
-    return _binary(a, b, a.value * b.value, lambda g: g * b.value,
-                   lambda g: g * a.value)
+    return _binary(a, b, a.value * b.value, lambda g, x, y: g * y,
+                   lambda g, x, y: g * x, None if b.constant else a.value,
+                   None if a.constant else b.value)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary(a, b, a.value / b.value, lambda g: g / b.value,
-                   lambda g: -g * a.value / (b.value ** 2))
+    return _binary(a, b, a.value / b.value, lambda g, x, y: g / y,
+                   lambda g, x, y: -g * x / (y ** 2),
+                   None if b.constant else a.value, b.value)
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.value > 0  # derivative 0 at exactly 0 (left limit)
     out_val = np.where(mask, a.value, 0.0)
+    na = _grad_node(a)
 
     def backward(g):
-        _acc(a, g * mask)
+        _acc(na, g * mask)
 
     return Tensor(out_val, (a,), backward)
 
@@ -314,36 +377,28 @@ def relu(a) -> Tensor:
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out_val = np.exp(a.value)
+    na = _grad_node(a)
 
     def backward(g):
-        _acc(a, g * out_val)
+        _acc(na, g * out_val)
 
     return Tensor(out_val, (a,), backward)
-
-
-def _select(a: Tensor, b: Tensor, take_a: np.ndarray) -> Tensor:
-    """`a` where `take_a`, else `b`; the gradient follows the choice."""
-    out_val = np.where(take_a, a.value, b.value)
-
-    def backward(g):
-        if not a.constant:
-            _acc(a, _unbroadcast(g * take_a, a.value.shape))
-        if not b.constant:
-            _acc(b, _unbroadcast(g * ~take_a, b.value.shape))
-
-    return Tensor(out_val, (a, b), backward)
 
 
 def minimum(a, b) -> Tensor:
     """Elementwise min; ties route the gradient to the first argument."""
     a, b = as_tensor(a), as_tensor(b)
-    return _select(a, b, a.value <= b.value)
+    take_a = a.value <= b.value
+    return _binary(a, b, np.where(take_a, a.value, b.value),
+                   lambda g, x, y: g * x, lambda g, x, y: g * ~x, take_a)
 
 
 def maximum(a, b) -> Tensor:
     """Elementwise max; ties route the gradient to the first argument."""
     a, b = as_tensor(a), as_tensor(b)
-    return _select(a, b, a.value >= b.value)
+    take_a = a.value >= b.value
+    return _binary(a, b, np.where(take_a, a.value, b.value),
+                   lambda g, x, y: g * x, lambda g, x, y: g * ~x, take_a)
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +408,14 @@ def maximum(a, b) -> Tensor:
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     out_val = a.value.sum(axis=axis, keepdims=keepdims)
+    na, shape = _grad_node(a), a.value.shape
 
     def backward(g):
         if axis is None:
-            _acc(a, np.broadcast_to(g, a.value.shape))
+            _acc(na, np.broadcast_to(g, shape))
         else:
             gg = g if keepdims else np.expand_dims(g, axis)
-            _acc(a, np.broadcast_to(gg, a.value.shape))
+            _acc(na, np.broadcast_to(gg, shape))
 
     return Tensor(out_val, (a,), backward)
 
@@ -373,9 +429,10 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     out_val = a.value.reshape(shape)
+    na, in_shape = _grad_node(a), a.value.shape
 
     def backward(g):
-        _acc(a, g.reshape(a.value.shape))
+        _acc(na, g.reshape(in_shape))
 
     return Tensor(out_val, (a,), backward)
 
@@ -384,9 +441,10 @@ def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     out_val = a.value.transpose(axes)
     inv = np.argsort(axes)
+    na = _grad_node(a)
 
     def backward(g):
-        _acc(a, g.transpose(inv))
+        _acc(na, g.transpose(inv))
 
     return Tensor(out_val, (a,), backward)
 
@@ -395,11 +453,12 @@ def concat(tensors, axis=0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out_val = np.concatenate([t.value for t in tensors], axis=axis)
     splits = np.cumsum([t.value.shape[axis] for t in tensors])[:-1]
+    nodes = [_grad_node(t) for t in tensors]
 
     def backward(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            if not t.constant:
-                _acc(t, piece)
+        for node, piece in zip(nodes, np.split(g, splits, axis=axis)):
+            if node is not None:
+                _acc(node, piece)
 
     return Tensor(out_val, tuple(tensors), backward)
 
@@ -419,16 +478,21 @@ def matmul(a, b) -> Tensor:
     out_val = np.matmul(a.value, b.value)
     record_mults(out_val.size // out_val.shape[-1] * a.value.shape[-1]
                  * b.value.shape[-1])
+    na, nb = _grad_node(a), _grad_node(b)
+    shape_a, shape_b = a.value.shape, b.value.shape
+    # each operand is saved only for the other one's gradient
+    av = None if nb is None else a.value
+    bv = None if na is None else b.value
 
     def backward(g):
-        if not a.constant:
-            _acc(a, _unbroadcast(np.matmul(g, np.swapaxes(b.value, -1, -2)),
-                                 a.value.shape))
-        if not b.constant:
-            gb = (a.value.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-                  if b.value.ndim == 2 else         # a shared weight: one GEMM
-                  np.matmul(np.swapaxes(a.value, -1, -2), g))
-            _acc(b, _unbroadcast(gb, b.value.shape))
+        if na is not None:
+            _acc(na, _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)),
+                                  shape_a))
+        if nb is not None:
+            gb = (av.reshape(-1, shape_a[-1]).T @ g.reshape(-1, g.shape[-1])
+                  if len(shape_b) == 2 else         # a shared weight: one GEMM
+                  np.matmul(np.swapaxes(av, -1, -2), g))
+            _acc(nb, _unbroadcast(gb, shape_b))
 
     return Tensor(out_val, (a, b), backward)
 
@@ -441,10 +505,12 @@ SPIKE_BLOCK = 1 << 15
 
 def conv2d_extents(h: int, w: int, l: int, stride: int, padding: int):
     """Output extents of an l x l kernel at the given stride/padding;
-    `ShapeError` unless stride >= 1, padding >= 0 and the kernel fits."""
-    if stride < 1 or padding < 0:
-        raise ShapeError(f"conv2d needs stride >= 1 and padding >= 0, got "
-                         f"stride {stride}, padding {padding}")
+    `ShapeError` unless l >= 1, stride >= 1, padding >= 0 and the kernel
+    fits."""
+    if l < 1 or stride < 1 or padding < 0:
+        raise ShapeError(f"conv2d needs kernel >= 1, stride >= 1 and "
+                         f"padding >= 0, got kernel {l}, stride {stride}, "
+                         f"padding {padding}")
     h_out = (h + 2 * padding - l) // stride + 1
     w_out = (w + 2 * padding - l) // stride + 1
     if h_out < 1 or w_out < 1:
@@ -498,16 +564,18 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
         out[live] = live_out
     record_mults(out.size * kmat.shape[1])
     out = out.reshape(x.shape[:-3] + (c_out, h_out, w_out))
+    nx, nk = _grad_node(x), _grad_node(kernels)
+    x_shape = x.value.shape
 
     def backward(g):
         gmat = g.reshape(b, c_out, h_out * w_out)
-        if not kernels.constant:
+        if nk is not None:
             # the axis-0 sum adds slice by slice, so leaving out the dead
             # rows' all-zero slices changes no bit
-            _acc(kernels, np.matmul(gmat if dense else gmat[live],
-                                    cols.transpose(0, 2, 1)).sum(0)
-                 .reshape(kernels.value.shape))
-        if x.constant:
+            _acc(nk, np.matmul(gmat if dense else gmat[live],
+                               cols.transpose(0, 2, 1)).sum(0)
+                 .reshape(c_out, c, l, l))
+        if nx is None:
             return
         n = c * h * w + 1
         step = max(1, min(b, SPIKE_BLOCK // idx.size))
@@ -520,7 +588,7 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
             dx[lo:lo + m] = np.bincount(
                 index[:m * idx.size], weights=dcols[:m].ravel(),
                 minlength=m * n).reshape(m, n)[:, :-1]
-        _acc(x, dx.reshape(x.value.shape))
+        _acc(nx, dx.reshape(x_shape))
 
     return Tensor(out, (x, kernels), backward)
 
@@ -573,9 +641,10 @@ def surrogate_spike(u, threshold: float = 1.0, alpha: float = 2.0) -> Tensor:
     u = as_tensor(u)
     out_val = np.empty(u.shape)
     _fire(u.value, threshold, out_val, alpha)
+    nu, uv = _grad_node(u), u.value
 
     def backward(g):
-        _acc(u, g * arctan_surrogate_grad(u.value - threshold, alpha))
+        _acc(nu, g * arctan_surrogate_grad(uv - threshold, alpha))
 
     return Tensor(out_val, (u,), backward)
 
@@ -649,9 +718,11 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
                 np.subtract(s, tmp, out=s)
                 np.subtract(mid, np.multiply(tmp, theta_neg, out=tmp), out=v)
 
+    nx, x_shape = _grad_node(x), x.value.shape
+
     def backward(g):
         g = g.reshape(shape)
-        dx = np.empty(x.shape if repeat else shape)
+        dx = np.empty(x_shape if repeat else shape)
         bufs = np.empty((3, step) + shape[2:])
         # under `repeat` each step's input gradient waits in a block buffer
         steps = np.empty((t_steps, step) + shape[2:]) if repeat else None
@@ -683,7 +754,7 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
                 np.copyto(dx[blk], dxs[0])
                 for d in dxs[1:]:
                     np.add(dx[blk], d, out=dx[blk])
-        _acc(x, dx.reshape(x.shape))
+        _acc(nx, dx.reshape(x_shape))
 
     return Tensor(spikes.reshape((-1,) + shape[2:]), (x,), backward)
 
@@ -700,17 +771,20 @@ def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     var = (xc ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out_val = xhat * gamma.value + beta.value
+    gv = gamma.value
+    out_val = xhat * gv + beta.value
+    nx, ng, nb = _grad_node(x), _grad_node(gamma), _grad_node(beta)
+    shape_g, shape_b = gv.shape, beta.value.shape
 
     def backward(g):
-        if not gamma.constant:
-            _acc(gamma, _unbroadcast(g * xhat, gamma.value.shape))
-        if not beta.constant:
-            _acc(beta, _unbroadcast(g, beta.value.shape))
-        if not x.constant:
-            gx = g * gamma.value
-            _acc(x, inv * (gx - gx.mean(axis=-1, keepdims=True)
-                           - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
+        if ng is not None:
+            _acc(ng, _unbroadcast(g * xhat, shape_g))
+        if nb is not None:
+            _acc(nb, _unbroadcast(g, shape_b))
+        if nx is not None:
+            gx = g * gv
+            _acc(nx, inv * (gx - gx.mean(axis=-1, keepdims=True)
+                            - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
 
     return Tensor(out_val, (x, gamma, beta), backward)
 

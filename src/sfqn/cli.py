@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -25,9 +26,19 @@ from .qnet import QNetwork, load_parameters
 from .train import MetricsRow, evaluate, run_training, write_metrics
 
 
+def _code_sha256() -> str:
+    """sha256 of this package's source files in sorted file-name order,
+    each hashed as its name, a NUL byte and its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def _write_manifest(out_dir: Path, cfg: ExperimentConfig) -> None:
     manifest = {"config_sha256": cfg.digest(), "seeds": list(cfg.seeds),
-                "code_version": __version__, "variant": cfg.variant}
+                "code_version": __version__, "code_sha256": _code_sha256(),
+                "numpy": np.__version__, "variant": cfg.variant}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2,
                                                       sort_keys=True) + "\n")
     (out_dir / "config.cfg").write_text(cfg.serialize())
@@ -121,6 +132,8 @@ def cmd_analyze_cost(args) -> int:
 
 
 def cmd_plot_membership(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     records = load_records(args.checkpoint)
     prefixes = sorted({name.rsplit(".", 1)[0] for name in records
                        if ".bank" in name})

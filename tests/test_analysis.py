@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from sfqn.analysis import ConvSpec, capacity, cost_model
-from sfqn.autodiff import conv2d_extents
+from sfqn.autodiff import ShapeError, conv2d_extents
 
 
 def test_capacity_worked_numbers():
@@ -61,3 +61,22 @@ def test_cost_model_shape_grid():
 def test_cost_model_rejects_empty_output():
     with pytest.raises(ValueError):
         cost_model(1, 2, 2, ConvSpec(4, 5, 1, 0), 3, 5, 5)
+
+
+@pytest.mark.parametrize("name", ["c", "h", "w", "n", "m", "n_actions",
+                                  "c_out", "kernel"])
+@pytest.mark.parametrize("bad", [0, -8])
+def test_cost_model_rejects_sizes_below_one(name, bad):
+    sizes = dict(c=1, h=8, w=8, n=3, m=5, n_actions=5)
+    conv = {"c_out": 8, "kernel": 3}
+    (conv if name in conv else sizes)[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be a positive"):
+        cost_model(conv=ConvSpec(conv["c_out"], conv["kernel"], 2, 1),
+                   **sizes)
+
+
+def test_conv2d_extents_rejects_kernel_below_one():
+    with pytest.raises(ShapeError, match="kernel >= 1"):
+        conv2d_extents(8, 8, 0, 1, 0)
+    with pytest.raises(ShapeError, match="got kernel -1"):
+        conv2d_extents(8, 8, -1, 1, 1)

@@ -1,11 +1,13 @@
 import contextlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from sfqn import autodiff as ad
+from sfqn import snn
 from sfqn.autodiff import Tensor
 
 
@@ -620,6 +622,47 @@ def test_minimum_tie_goes_left():
     out = ad.tsum(ad.minimum(a, b))
     out.backward()
     assert a.grad[0] == 1.0 and b.grad[0] == 0.0
+
+
+def test_maximum_tie_goes_left():
+    a, b = Tensor(np.array([1.0, 2.0])), Tensor(np.array([1.0, 3.0]))
+    ad.tsum(ad.maximum(a, b)).backward()
+    assert a.grad.tolist() == [1.0, 0.0] and b.grad.tolist() == [0.0, 1.0]
+
+
+def test_layer_values_are_freed_while_the_graph_lives(monkeypatch):
+    """A ConvLifBlock's conv output and bias sum die when its step returns,
+    because no backward rule holds them, and the spikes still backpropagate
+    to the kernel and the bias with the gradients of a graph whose every
+    intermediate is kept alive."""
+    rng = np.random.default_rng(7)
+    block = snn.ConvLifBlock(2, 3, 3, 1, 1, snn.Neuron(t_steps=2), rng,
+                             gain=4.0)
+    x = ad.as_tensor((rng.random((4, 2, 6, 6)) < 0.3).astype(float))
+    seed = rng.standard_normal((4, 3, 6, 6))
+    conv, spikes = ad.conv2d, ad.spike_recurrence
+
+    def step(hold):
+        with monkeypatch.context() as m:
+            m.setattr(ad, "conv2d", lambda *args: hold(conv(*args)))
+            m.setattr(ad, "spike_recurrence",
+                      lambda cur, *args: spikes(hold(cur), *args))
+            out = block.step(x)
+        return out
+
+    def grads(out):
+        block.kernels.grad = block.bias.grad = None
+        ad.tsum(out * seed).backward()
+        return block.kernels.grad, block.bias.grad
+
+    alive = []
+    ref_k, ref_b = grads(step(lambda t: alive.append(t) or t))
+    refs = []
+    out = step(lambda t: refs.append(weakref.ref(t.value)) or t)
+    assert len(refs) == 2 and all(r() is None for r in refs)
+    k_grad, b_grad = grads(out)
+    assert np.any(ref_k != 0.0) and np.any(ref_b != 0.0)
+    assert np.array_equal(k_grad, ref_k) and np.array_equal(b_grad, ref_b)
 
 
 def test_mult_counter_scopes():

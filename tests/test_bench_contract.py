@@ -5,6 +5,7 @@ something the harness relies on."""
 
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import counts  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 from sfqn.config import ABLATION_MATRIX, parse_config  # noqa: E402
-from sfqn.qnet import QNetwork  # noqa: E402
+from sfqn.qnet import NetworkConfig, QNetwork  # noqa: E402
 
 TINY = parse_config("grid_size = 8\nconv_channels = 2,4\nc_emb = 8\n"
                     "n_heads = 2\nd_ff = 16\nfc_hidden = 16\ndec_hidden = 8\n"
@@ -86,3 +87,28 @@ def test_probe_counts_pinned(variant):
     bev, lidar = rng.random((2, 3, 1, 8, 8))
     out = counts.probe(net, bev, lidar, workloads.Tally())
     assert {k: out[k] for k in COUNT_PINS[variant]} == COUNT_PINS[variant]
+
+
+def test_graph_mb_counts_what_the_forward_retains():
+    """`counts.graph_size` reports every buffer the graph keeps: its MiB
+    equals the array memory tracemalloc sees a forward retain, plus the
+    parameter buffers that backward rules saved (allocated before the
+    forward, so tracemalloc does not see them).  What separates the two is
+    the parameters no rule reads (biases, positional tables) and the input
+    images a rule saves, about 10 KiB here, so a buffer the count misses
+    fails this at well under 1 MiB."""
+    net = QNetwork(NetworkConfig(obs_hw=(16, 16)))
+    bev, lidar = np.random.default_rng(0).random((2, 8, 1, 16, 16))
+    arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(arrays)
+        q, _ = net.forward(bev, lidar)
+        after = tracemalloc.take_snapshot().filter_traces(arrays)
+    finally:
+        tracemalloc.stop()
+    retained = sum(s.size_diff for s in after.compare_to(before, "filename"))
+    params = sum(p.value.nbytes for p in net.parameters())
+    _, mib = counts.graph_size(q)
+    assert retained > 2 ** 22
+    assert mib * 2 ** 20 == pytest.approx(retained + params, abs=2 ** 16)

@@ -1,11 +1,14 @@
 import csv
+import hashlib
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sfqn import config, qnet
+import sfqn
+from sfqn import cli, config, qnet
 from sfqn.cli import main
 from sfqn.config import (ABLATION_MATRIX, COMPONENTS, DERIVED, VARIANTS,
                          ConfigError, ExperimentConfig, parse_config)
@@ -362,6 +365,41 @@ def test_cli_analyze_cost(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "576" in text and "13824" in text
     assert "rate_encoder" in text
+
+
+@pytest.mark.parametrize("args, name", [
+    (["--c-out", "-8", "--n", "0"], "n"),
+    (["--c-out", "-8"], "c_out"),
+    (["--kernel", "0"], "kernel"),
+    (["--actions", "0"], "n_actions"),
+])
+def test_cli_analyze_cost_rejects_sizes_below_one(capsys, args, name):
+    assert main(["analyze-cost"] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {name} must be a positive integer" in captured.err
+
+
+def test_cli_plot_membership_rejects_no_samples(tmp_path, capsys):
+    ckpt = tmp_path / "net.sfqn"
+    QNetwork(parse_config(SMOKE).network_config(0)).save(ckpt)
+    csv_path = tmp_path / "curves.csv"
+    assert main(["plot-membership", "--checkpoint", str(ckpt),
+                 "--out", str(csv_path), "--samples", "0"]) == 1
+    assert "--samples" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+def test_manifest_names_the_code(tmp_path):
+    cli._write_manifest(tmp_path, parse_config(SMOKE))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    src = Path(sfqn.__file__).parent
+    digest = hashlib.sha256()
+    for name in sorted(p.name for p in src.glob("*.py")):
+        digest.update(name.encode() + b"\0" + (src / name).read_bytes())
+    assert manifest["code_sha256"] == digest.hexdigest()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["code_version"] == sfqn.__version__
 
 
 def test_cli_plot_membership_initial_triangles(tmp_path):
