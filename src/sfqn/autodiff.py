@@ -11,10 +11,10 @@ value no rule reads goes as soon as the forward drops its Tensor.
 accumulates gradients (shared subexpressions sum).  The walk consumes the
 graph: each interior node drops its gradient, rule and parent links once it
 has passed its gradient on, so saved arrays are freed during the walk and a
-graph runs backward once.  Inside `no_grad()` ops record no nodes, so
-inference forwards build no graph.  Inputs wrapped by `as_tensor` are
-constants: a Tensor built only from constants records no graph either, and
-backward computes no gradient for a constant operand.  Spike
+graph runs backward once.  A Tensor takes a gradient exactly when it has
+a node; constants (inputs wrapped by `as_tensor`, Tensors built only from
+constants, and values computed inside `no_grad()`, where ops record no
+nodes and so build no graph) take none, not even from a later graph.  Spike
 nonlinearities get a hard forward (Heaviside) with an arctangent surrogate
 derivative that is computed only when backward runs.  `spike_recurrence`
 runs a whole (L)IF membrane recurrence over T steps as one node, with
@@ -86,8 +86,8 @@ def _set_flag(name: str, value):
 
 
 def no_grad():
-    """Ops inside the block record no graph nodes, so the outputs are plain
-    values and no graph is kept alive."""
+    """Ops inside the block record no graph nodes, so the outputs are
+    constants, also in later graphs, and no graph is kept alive."""
     return _set_flag("grad", False)
 
 
@@ -129,27 +129,27 @@ class _Node:
 class Tensor:
     """A value, and the graph node of a value that takes a gradient.
 
-    A leaf is a parameter unless built with `constant=True`; a Tensor needs
-    a gradient only if one of its parents does, and otherwise is a constant
-    that records no parents or backward rule.  `grad`, `parents` and
-    `_backward` read the node: parents are the nodes of the non-constant
-    operands, and a backward rule holds only the arrays it reads, never a
-    Tensor.  An interior value no rule reads therefore goes when the
-    forward drops the Tensor, while the graph behind it still
-    backpropagates."""
+    A Tensor takes a gradient exactly when it has a node, and is otherwise
+    a constant.  A leaf is a parameter unless built with `constant=True`;
+    an op output is built from its operands' nodes (None for a constant,
+    and for every operand inside `no_grad`) and has a node only if one of
+    them is one.  `grad`, `parents` and `_backward` read the node, and a
+    backward rule holds only the arrays it reads, never a Tensor, so an
+    interior value no rule reads goes when the forward drops the Tensor."""
 
-    __slots__ = ("value", "name", "constant", "_node")
+    __slots__ = ("value", "name", "_node")
 
-    def __init__(self, value, parents: Sequence["Tensor"] = (),
+    def __init__(self, value, parents: Sequence[_Node | None] = (),
                  backward: Callable[[np.ndarray], None] | None = None,
                  name: str | None = None, constant: bool = False):
         self.value = _as_array(value)
-        self.constant = (all(p.constant for p in parents) if parents
-                         else constant)
-        self._node = (_Node(tuple(_grad_node(p) for p in parents
-                                  if not p.constant), backward)
-                      if _Flags.grad and not self.constant else None)
+        if any(parents):                # an operand takes a gradient
+            self._node = _Node(tuple(p for p in parents if p), backward)
+        else:                           # a leaf is a parameter unless constant
+            self._node = None if parents or constant else _Node()
         self.name = name
+
+    constant = property(lambda self: self._node is None)
 
     @property
     def grad(self) -> np.ndarray | None:
@@ -157,8 +157,10 @@ class Tensor:
 
     @grad.setter
     def grad(self, g: np.ndarray | None) -> None:
-        self._node = self._node or _Node()
-        self._node.grad = g
+        if self._node is not None:
+            self._node.grad = g
+        elif g is not None:
+            raise ValueError("a constant takes no gradient")
 
     @property
     def parents(self) -> tuple["_Node", ...]:
@@ -194,7 +196,8 @@ class Tensor:
         therefore runs once per graph; a second `backward()` that reaches a
         consumed node raises `ValueError`.
         """
-        root = self._node = self._node or _Node()
+        if (root := self._node) is None:
+            raise ValueError("backward() of a constant, which has no graph")
         topo: list[_Node] = []
         seen: set[int] = set()
         stack: list[tuple[_Node, bool]] = [(root, False)]
@@ -288,10 +291,7 @@ class Module:
 def _grad_node(t: Tensor) -> _Node | None:
     """The node that `t`'s gradient accumulates into, or None if `t` takes
     none (a constant, or any operand inside `no_grad`)."""
-    if t.constant or not _Flags.grad:
-        return None
-    t._node = t._node or _Node()    # built inside no_grad: a leaf from now on
-    return t._node
+    return t._node if _Flags.grad else None
 
 
 def _acc(node: _Node, g: np.ndarray) -> None:
@@ -330,7 +330,7 @@ def _binary(a: Tensor, b: Tensor, out_val: np.ndarray, grad_a, grad_b,
         if nb is not None:
             _acc(nb, _unbroadcast(grad_b(g, x, y), shape_b))
 
-    return Tensor(out_val, (a, b), backward)
+    return Tensor(out_val, (na, nb), backward)
 
 
 def _upstream(g, x, y):
@@ -371,7 +371,7 @@ def relu(a) -> Tensor:
     def backward(g):
         _acc(na, g * mask)
 
-    return Tensor(out_val, (a,), backward)
+    return Tensor(out_val, (na,), backward)
 
 
 def exp(a) -> Tensor:
@@ -382,7 +382,7 @@ def exp(a) -> Tensor:
     def backward(g):
         _acc(na, g * out_val)
 
-    return Tensor(out_val, (a,), backward)
+    return Tensor(out_val, (na,), backward)
 
 
 def minimum(a, b) -> Tensor:
@@ -417,7 +417,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
             gg = g if keepdims else np.expand_dims(g, axis)
             _acc(na, np.broadcast_to(gg, shape))
 
-    return Tensor(out_val, (a,), backward)
+    return Tensor(out_val, (na,), backward)
 
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
@@ -434,7 +434,7 @@ def reshape(a, shape) -> Tensor:
     def backward(g):
         _acc(na, g.reshape(in_shape))
 
-    return Tensor(out_val, (a,), backward)
+    return Tensor(out_val, (na,), backward)
 
 
 def transpose(a, axes) -> Tensor:
@@ -446,7 +446,7 @@ def transpose(a, axes) -> Tensor:
     def backward(g):
         _acc(na, g.transpose(inv))
 
-    return Tensor(out_val, (a,), backward)
+    return Tensor(out_val, (na,), backward)
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -460,7 +460,7 @@ def concat(tensors, axis=0) -> Tensor:
             if node is not None:
                 _acc(node, piece)
 
-    return Tensor(out_val, tuple(tensors), backward)
+    return Tensor(out_val, nodes, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +494,7 @@ def matmul(a, b) -> Tensor:
                   np.matmul(np.swapaxes(av, -1, -2), g))
             _acc(nb, _unbroadcast(gb, shape_b))
 
-    return Tensor(out_val, (a, b), backward)
+    return Tensor(out_val, (na, nb), backward)
 
 
 # Elements per block of `spike_recurrence` and of the `conv2d` backward: a
@@ -590,7 +590,7 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
                 minlength=m * n).reshape(m, n)[:, :-1]
         _acc(nx, dx.reshape(x_shape))
 
-    return Tensor(out, (x, kernels), backward)
+    return Tensor(out, (nx, nk), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +646,7 @@ def surrogate_spike(u, threshold: float = 1.0, alpha: float = 2.0) -> Tensor:
     def backward(g):
         _acc(nu, g * arctan_surrogate_grad(uv - threshold, alpha))
 
-    return Tensor(out_val, (u,), backward)
+    return Tensor(out_val, (nu,), backward)
 
 
 def surrogate_spike_below(u, threshold: float, alpha: float = 2.0) -> Tensor:
@@ -756,7 +756,7 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
                     np.add(dx[blk], d, out=dx[blk])
         _acc(nx, dx.reshape(x_shape))
 
-    return Tensor(spikes.reshape((-1,) + shape[2:]), (x,), backward)
+    return Tensor(spikes.reshape((-1,) + shape[2:]), (nx,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +786,7 @@ def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
             _acc(nx, inv * (gx - gx.mean(axis=-1, keepdims=True)
                             - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
 
-    return Tensor(out_val, (x, gamma, beta), backward)
+    return Tensor(out_val, (nx, ng, nb), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,13 @@
 
 Deterministic given (seed, action sequence).  The ego vehicle follows meta-
 actions {LEFT, IDLE, RIGHT, FASTER, SLOWER}; other vehicles hold constant
-speed and lane, which keeps crash times closed-form for tests.  Observations
-are an ego-centered BEV raster, a LiDAR-style occupancy grid whose pixel
-intensities encode relative velocity, and two normalized kinematic scalars.
+speed and lane, which keeps crash times closed-form for tests.  An
+observation is two frames, one per Q-network modality: an ego-centered BEV
+raster and a LiDAR-style occupancy grid encoding relative velocity.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -72,9 +71,9 @@ class VehicleState:
 
 @dataclass
 class Observation:
+    """One step's two frames: the Q-network reads nothing else."""
     bev: np.ndarray                  # (1,H,W) in [0,1]
     lidar_grid: np.ndarray           # (1,H,W) in [0,1]
-    kin: tuple[float, float]         # (speed_norm, heading_norm)
 
 
 class EpisodeOver(RuntimeError):
@@ -85,7 +84,6 @@ class HighwayEnv:
     def __init__(self, cfg: HighwayConfig | None = None):
         self.cfg = cfg or HighwayConfig()
         self._done = True
-        self.history: list[tuple] = []
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -95,14 +93,11 @@ class HighwayEnv:
         self.t = 0
         self._done = False
         self.crashed = False
-        self.history = []
 
         self.ego_lat = float(cfg.lanes // 2)       # lane units
         self.ego_target_lane = cfg.lanes // 2
         self.ego_pos = 0.0
         self.ego_speed = cfg.ego_speed
-        self.ego_target_speed = cfg.ego_speed
-        self.ego_heading = 0.0
 
         self.vehicles: list[VehicleState] = []
         for _ in range(cfg.n_vehicles):
@@ -142,23 +137,18 @@ class HighwayEnv:
             raise ValueError(f"invalid action {action}")
 
         if action == FASTER:
-            self.ego_target_speed = min(self.ego_target_speed + cfg.dv, cfg.v_max)
+            self.ego_speed = min(self.ego_speed + cfg.dv, cfg.v_max)
         elif action == SLOWER:
-            self.ego_target_speed = max(self.ego_target_speed - cfg.dv, cfg.v_min)
+            self.ego_speed = max(self.ego_speed - cfg.dv, cfg.v_min)
         elif action == LEFT:
             self.ego_target_lane = max(self.ego_target_lane - 1, 0)
         elif action == RIGHT:
             self.ego_target_lane = min(self.ego_target_lane + 1, cfg.lanes - 1)
 
-        self.ego_speed = self.ego_target_speed
-        dlat = 0.0
         if self.ego_lat != self.ego_target_lane:
             step = 1.0 / cfg.lane_change_steps
             delta = self.ego_target_lane - self.ego_lat
-            dlat = math.copysign(min(abs(delta), step), delta)
-            self.ego_lat += dlat
-        self.ego_heading = math.atan2(dlat * cfg.lane_width / cfg.dt,
-                                      self.ego_speed)
+            self.ego_lat += math.copysign(min(abs(delta), step), delta)
 
         self.ego_pos += self.ego_speed * cfg.dt
         for v in self.vehicles:
@@ -175,22 +165,13 @@ class HighwayEnv:
         self.t += 1
         self._done = self.crashed or self.t >= cfg.horizon
         info = {"crashed": self.crashed, "speed": self.ego_speed}
-        self.history.append((self.t, self.ego_lane, self.ego_speed,
-                             action, reward, self.crashed))
         return self.observe(), reward, self._done, info
 
     # -- observations -------------------------------------------------------
 
     def observe(self) -> Observation:
         return Observation(bev=self.render_bev(),
-                           lidar_grid=self.render_lidar_grid(),
-                           kin=self._kinematics())
-
-    def _kinematics(self) -> tuple[float, float]:
-        cfg = self.cfg
-        speed_norm = (self.ego_speed - cfg.v_min) / (cfg.v_max - cfg.v_min)
-        heading_norm = min(max(0.5 + self.ego_heading / math.pi, 0.0), 1.0)
-        return (speed_norm, heading_norm)
+                           lidar_grid=self.render_lidar_grid())
 
     def _cell(self, d_long: float, d_lat_m: float) -> tuple[int, int]:
         """Grid cell for a displacement from the ego anchor, ego frame."""
@@ -249,13 +230,3 @@ class HighwayEnv:
             if 0 <= row < n and 0 <= col < n:
                 grid[0, row, col] = intensity
         return grid
-
-    # -- debugging ----------------------------------------------------------
-
-    def dump_trajectory(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "ego_lane", "ego_speed", "action",
-                             "reward", "crashed"])
-            for row in self.history:
-                writer.writerow(row)

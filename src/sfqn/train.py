@@ -181,8 +181,7 @@ def select_action(net: QNetwork, obs: dict, eps: float,
 
 def _obs_dict(observation) -> dict:
     return {"bev": observation.bev.astype(np.float32),
-            "lidar_grid": observation.lidar_grid.astype(np.float32),
-            "kin": observation.kin}
+            "lidar_grid": observation.lidar_grid.astype(np.float32)}
 
 
 def evaluate_policy(policy, env_cfg: HighwayConfig, n_episodes: int = 20,

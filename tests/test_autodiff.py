@@ -486,6 +486,25 @@ def test_no_grad_records_no_graph_and_restores_flag():
         assert ad.tsum(a).parents == ()        # nesting keeps the outer state
 
 
+def test_a_value_computed_under_no_grad_stays_a_constant():
+    a = Tensor(np.array([1.0, -2.0]))
+    with ad.no_grad():
+        frozen = a * 3.0
+        leaf = Tensor(np.array([0.5, 0.5]))    # a leaf is a parameter anywhere
+    assert frozen.constant and not leaf.constant
+    prod = frozen * a
+    assert prod.parents == (a._node,)          # frozen gets no node
+    ad.tsum(prod + leaf).backward()
+    assert frozen.grad is None and frozen.constant
+    assert np.array_equal(a.grad, frozen.value)
+    assert np.array_equal(leaf.grad, np.ones(2))
+    with pytest.raises(ValueError, match="constant"):
+        frozen.grad = np.ones(2)
+    frozen.grad = None                         # clearing is a no-op
+    with pytest.raises(ValueError, match="constant"):
+        ad.tsum(frozen).backward()
+
+
 def test_surrogate_derivative_is_computed_only_in_backward(monkeypatch):
     calls = []
     real = ad.arctan_surrogate_grad
