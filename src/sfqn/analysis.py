@@ -2,8 +2,8 @@
 
 Capacities are maximum entropies in bits (log2 of the state count) for the
 competing input encodings and for the Q-value read-out; the cost model
-counts scalar multiplications for the encoder stage and the first conv
-layer, with a hook to compare against instrumented forward passes.
+counts one network variant's scalar multiplications in its encoder, first
+conv layer and decoder, checked by `qnet.count_multiplications`.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .autodiff import conv2d_extents
+from .fuzzy import GAUSSIAN
+from .highway import ACTION_NAMES
 
 
 @dataclass
@@ -26,14 +28,10 @@ class CapacityReport:
         return self.pop_bits / self.rate_bits
 
 
-def _require_positive(**sizes: int) -> None:
-    for name, v in sizes.items():
+def capacity(c: int, h: int, w: int, t: int, n: int, m: int) -> CapacityReport:
+    for name, v in dict(C=c, H=h, W=w, T=t, N=n, M=m).items():
         if v < 1:
             raise ValueError(f"{name} must be a positive integer, got {v}")
-
-
-def capacity(c: int, h: int, w: int, t: int, n: int, m: int) -> CapacityReport:
-    _require_positive(C=c, H=h, W=w, T=t, N=n, M=m)
     pixels = c * h * w
     return CapacityReport(
         raw_bits=32 * pixels,
@@ -45,29 +43,26 @@ def capacity(c: int, h: int, w: int, t: int, n: int, m: int) -> CapacityReport:
 
 
 @dataclass
-class ConvSpec:
-    c_out: int
-    kernel: int
-    stride: int = 1
-    padding: int = 0
-
-
-@dataclass
 class CostReport:
-    fuzzy_encoder: int       # c * N * h * w
-    rate_encoder: int        # always 0: comparisons only
-    first_conv: int          # c_out * c * l^2 * h_out * w_out over c channels
-    decoder_overhead: int    # M * |A|
+    encoder: int             # N*H*W, x2 for a Gaussian bank; 0 for rate
+                             # (comparisons only) and none (no encoder)
+    first_conv: int          # C_out * C' * l^2 * H' * W' over the encoder's
+                             # C' = conv_input_channels() output channels
+    decoder_overhead: int    # M * |A| for the neural decoder; else 0
 
 
-def cost_model(c: int, h: int, w: int, conv: ConvSpec, n: int, m: int,
-               n_actions: int) -> CostReport:
-    _require_positive(c=c, h=h, w=w, n=n, m=m, n_actions=n_actions,
-                      c_out=conv.c_out, kernel=conv.kernel)
-    h_out, w_out = conv2d_extents(h, w, conv.kernel, conv.stride, conv.padding)
+def cost_model(cfg) -> CostReport:
+    """Multiplications per one-channel image of the network `cfg` (a
+    `NetworkConfig`, read by attribute: `qnet` imports this module)."""
+    h, w = cfg.obs_hw
+    h_out, w_out = conv2d_extents(h, w, cfg.conv_kernel, cfg.conv_stride,
+                                  cfg.conv_padding)
+    per_degree = 2 if cfg.membership_kind == GAUSSIAN else 1
     return CostReport(
-        fuzzy_encoder=c * n * h * w,
-        rate_encoder=0,
-        first_conv=conv.c_out * c * conv.kernel ** 2 * h_out * w_out,
-        decoder_overhead=m * n_actions,
+        encoder=(per_degree * cfg.n_membership * h * w
+                 if cfg.encoder == "fuzzy" else 0),
+        first_conv=(cfg.conv_channels[0] * cfg.conv_input_channels()
+                    * cfg.conv_kernel ** 2 * h_out * w_out),
+        decoder_overhead=(cfg.m_population * len(ACTION_NAMES)
+                          if cfg.decoder == "neural" else 0),
     )

@@ -1,7 +1,8 @@
 """Experiment harness CLI.
 
-Subcommands: train, eval, ablate, analyze-capacity, analyze-cost,
-plot-membership.  Exit code 0 on success; diagnostics go to stderr.
+Subcommands: train, eval, ablate, plot-membership, and analyze-capacity
+and analyze-cost, which tabulate the network a `--config` (default: the
+built-in config) describes.  Exit code 0 on success; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import ConvSpec, capacity, cost_model
+from .analysis import capacity, cost_model
 from .checkpoint import CheckpointFormatError, load_records
 from .config import (ABLATION_MATRIX, ConfigError, ExperimentConfig,
                      load_config)
@@ -116,17 +117,23 @@ def _print_table(rows, header, csv_path) -> int:
     return 0
 
 
+def _config_or_default(args) -> ExperimentConfig:
+    return load_config(args.config) if args.config else ExperimentConfig()
+
+
 def cmd_analyze_capacity(args) -> int:
-    report = capacity(args.c, args.height, args.width, args.t, args.n, args.m)
+    cfg = _config_or_default(args)
+    # per modality: each is one channel of grid_size x grid_size pixels
+    report = capacity(1, cfg.grid_size, cfg.grid_size, cfg.t_steps,
+                      cfg.n_membership, cfg.m_population)
     rows = list(dataclasses.asdict(report).items())
     return _print_table(rows + [("pop_over_rate", report.pop_over_rate)],
                         ["quantity", "value"], args.csv)
 
 
 def cmd_analyze_cost(args) -> int:
-    conv = ConvSpec(args.c_out, args.kernel, args.stride, args.padding)
-    report = cost_model(args.c, args.height, args.width, conv, args.n,
-                        args.m, args.actions)
+    cfg = _config_or_default(args)
+    report = cost_model(cfg.network_config(cfg.seeds[0]))
     return _print_table(list(dataclasses.asdict(report).items()),
                         ["stage", "multiplications"], args.csv)
 
@@ -188,29 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("analyze-capacity", help="entropy capacity table")
-    p.add_argument("--c", type=int, default=1)
-    p.add_argument("--height", type=int, default=32)
-    p.add_argument("--width", type=int, default=32)
-    p.add_argument("--t", type=int, default=5)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--m", type=int, default=5)
-    p.add_argument("--csv", help="also write the table as CSV")
-    p.set_defaults(func=cmd_analyze_capacity)
-
-    p = sub.add_parser("analyze-cost", help="multiplication cost table")
-    p.add_argument("--c", type=int, default=1)
-    p.add_argument("--height", type=int, default=32)
-    p.add_argument("--width", type=int, default=32)
-    p.add_argument("--c-out", type=int, default=8)
-    p.add_argument("--kernel", type=int, default=3)
-    p.add_argument("--stride", type=int, default=2)
-    p.add_argument("--padding", type=int, default=1)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--m", type=int, default=5)
-    p.add_argument("--actions", type=int, default=5)
-    p.add_argument("--csv", help="also write the table as CSV")
-    p.set_defaults(func=cmd_analyze_cost)
+    for name, func, text in (
+            ("analyze-capacity", cmd_analyze_capacity,
+             "entropy capacity table of the configured network"),
+            ("analyze-cost", cmd_analyze_cost,
+             "multiplication cost table of the configured network")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config",
+                       help="experiment config (default: built-in defaults)")
+        p.add_argument("--csv", help="also write the table as CSV")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("plot-membership",
                        help="dump learned membership curves as CSV")

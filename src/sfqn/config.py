@@ -43,10 +43,10 @@ class _Experiment:
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError(f"seeds must be one or more non-negative "
                               f"integers, got {self.seeds}")
-        try:                     # surface what the components reject
+        try:       # surface what the components reject; the environment
+            self.env_config()    # first, so a bad grid_size names its key
             self.network_config(0)
             self.train_config(0)
-            self.env_config()
         except ValueError as err:
             raise ConfigError(str(err)) from err
 

@@ -76,11 +76,14 @@ class MembershipBank(ad.Module):
 
 
 def membership_eval(bank: MembershipBank, p) -> Tensor:
-    """Membership degrees of `p` (scalar or array, clamped to [0,1]).
+    """Membership degrees of `p` (scalar or array in [0,1]).
 
-    Output shape is (N,) + shape(p); degrees lie in [0,1].
+    Output shape is (N,) + shape(p); degrees lie in [0,1].  A point outside
+    [0,1], NaN included, is a ValueError.
     """
-    pv = np.clip(np.asarray(p, dtype=np.float64), 0.0, 1.0)
+    pv = np.asarray(p, dtype=np.float64)
+    if not np.all((pv >= 0.0) & (pv <= 1.0)):       # NaN fails both
+        raise ValueError("membership points must lie in [0,1]")
     pt = ad.as_tensor(pv[None, ...])                # (1, ...) broadcast vs N
     extra = (1,) * pv.ndim
     if bank.kind == TRIANGULAR:

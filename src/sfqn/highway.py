@@ -45,8 +45,10 @@ class HighwayConfig:
                  if getattr(self, name) < 1]
         if small:
             raise ValueError(f"must be at least 1: {', '.join(small)}")
+        # a spawn gap of 0 or less starts same-lane neighbours in contact
         nonpositive = [name for name in ("lane_width", "dt", "dv",
-                                         "vehicle_length", "resolution")
+                                         "vehicle_length", "resolution",
+                                         "spawn_min_gap")
                        if not getattr(self, name) > 0]
         if nonpositive:
             raise ValueError(f"must be positive: {', '.join(nonpositive)}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import fuzzy, snn
-from .analysis import ConvSpec, cost_model
+from .analysis import cost_model
 from .autodiff import Tensor
 from .checkpoint import CheckpointFormatError, load_records, save_records
 from .highway import ACTION_NAMES
@@ -332,22 +332,10 @@ def count_multiplications(net: QNetwork) -> dict:
         ad.conv2d(first_in, first.kernels, first.stride, first.padding)
     measured_conv = c.mults
 
-    # The encoder is costed over the one image channel, and the first conv
-    # over the encoder's output channels.  Rate coding is comparison-only
-    # and 'none' has no encoder; a Gaussian degree costs two multiplications.
-    conv = ConvSpec(cfg.conv_channels[0], cfg.conv_kernel, cfg.conv_stride,
-                    cfg.conv_padding)
-    per_image, expanded = (cost_model(channels, h, w, conv, cfg.n_membership,
-                                      cfg.m_population, N_ACTIONS)
-                           for channels in (1, cfg.conv_input_channels()))
-    per_degree = 2 if cfg.membership_kind == fuzzy.GAUSSIAN else 1
+    analytic = cost_model(cfg)
     return {
-        "encoder": {"analytic": (per_image.fuzzy_encoder * per_degree
-                                 if cfg.encoder == "fuzzy"
-                                 else per_image.rate_encoder),
-                    "measured": measured_enc},
-        "first_conv": {"analytic": expanded.first_conv,
+        "encoder": {"analytic": analytic.encoder, "measured": measured_enc},
+        "first_conv": {"analytic": analytic.first_conv,
                        "measured": measured_conv},
-        "decoder_overhead": (per_image.decoder_overhead
-                             if cfg.decoder == "neural" else 0),
+        "decoder_overhead": analytic.decoder_overhead,
     }

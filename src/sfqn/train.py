@@ -120,6 +120,8 @@ class TrainConfig:
             if getattr(self, name) < 1]
         if small:
             raise ValueError(f"must be at least 1: {', '.join(small)}")
+        if self.warmup_steps < 0:
+            raise ValueError("warmup_steps must be at least 0")
         outside = [name for name in ("eps_start", "eps_end")
                    if not 0.0 <= getattr(self, name) <= 1.0]
         if outside:

@@ -7,6 +7,7 @@ Criteria 9-10 are directional training comparisons (3 seeds x 60k steps at
 """
 
 import csv
+import dataclasses
 import itertools
 import math
 
@@ -21,8 +22,7 @@ from sfqn.config import ExperimentConfig
 from sfqn.fuzzy import (MembershipBank, NeuralDecoder, centroid_positions,
                         decode_centroid, if_spike_train, membership_eval)
 from sfqn.highway import IDLE, HighwayConfig, HighwayEnv, VehicleState
-from sfqn.qnet import (N_ACTIONS, NetworkConfig, QNetwork,
-                       count_multiplications)
+from sfqn.qnet import NetworkConfig, QNetwork, count_multiplications
 from sfqn.snn import Neuron
 from sfqn.train import (Adam, ReplayBuffer, TrainConfig, Transition,
                         bellman_target, run_training, train_step)
@@ -93,39 +93,32 @@ def test_criterion_4_cost_model_agreement():
     _ok(4, f"instrumented = analytic multiply counts on {len(C4_SHAPES)} shapes")
 
 
-def _cli_cost_table(tmp_path, cfg: NetworkConfig, channels: int) -> dict:
-    """`sfqn analyze-cost` for the network's first conv over `channels`."""
-    path = tmp_path / "cost.csv"
-    (h, w), args = cfg.obs_hw, {
-        "--c": channels, "--c-out": cfg.conv_channels[0],
-        "--kernel": cfg.conv_kernel, "--stride": cfg.conv_stride,
-        "--padding": cfg.conv_padding, "--n": cfg.n_membership,
-        "--m": cfg.m_population, "--actions": N_ACTIONS}
-    argv = ["analyze-cost", "--height", str(h), "--width", str(w),
-            "--csv", str(path)]
-    assert main(argv + [str(v) for kv in args.items() for v in kv]) == 0
-    with open(path, newline="") as fh:
-        return {stage: int(v) for stage, v in list(csv.reader(fh))[1:]}
-
-
 def test_criterion_4_counts_are_the_cli_cost_table(tmp_path):
-    # the analytic side of criterion 4 is the table the CLI prints: the
-    # encoder over the one image channel (a Gaussian degree costs two
-    # multiplications), the first conv over the encoder's output channels
+    # the analytic side of criterion 4 is the table `sfqn analyze-cost`
+    # prints for the network's config
+    cfg_path, csv_path = tmp_path / "exp.cfg", tmp_path / "cost.csv"
+    checked = 0
     for overrides in C4_SHAPES:
-        cfg = NetworkConfig(**{**C4_BASE, **overrides})
-        counts = count_multiplications(QNetwork(cfg))
-        fuzzy = cfg.encoder == "fuzzy"
-        per_image = _cli_cost_table(tmp_path, cfg, 1)
-        expanded = _cli_cost_table(
-            tmp_path, cfg, cfg.n_membership if fuzzy else 1)
-        per_degree = 2 if cfg.membership_kind == "gaussian" else 1
-        assert counts["encoder"]["analytic"] == (
-            per_image["fuzzy_encoder"] * per_degree if fuzzy
-            else per_image["rate_encoder"])
-        assert counts["first_conv"]["analytic"] == expanded["first_conv"]
-        assert counts["decoder_overhead"] == (
-            per_image["decoder_overhead"] if cfg.decoder == "neural" else 0)
+        net_cfg = NetworkConfig(**{**C4_BASE, **overrides})
+        h, w = net_cfg.obs_hw
+        if h != w:                  # a config's grid_size is square
+            continue
+        keys = {k: v for k, v in {**C4_BASE, **overrides}.items()
+                if k not in ("obs_hw", "seed")}
+        exp = dataclasses.replace(ExperimentConfig(), seeds=(net_cfg.seed,),
+                                  grid_size=h, **keys)
+        assert exp.network_config(net_cfg.seed) == net_cfg
+        cfg_path.write_text(exp.serialize())
+        assert main(["analyze-cost", "--config", str(cfg_path),
+                     "--csv", str(csv_path)]) == 0
+        with open(csv_path, newline="") as fh:
+            table = {stage: int(v) for stage, v in list(csv.reader(fh))[1:]}
+        counts = count_multiplications(QNetwork(net_cfg))
+        assert table == {"encoder": counts["encoder"]["analytic"],
+                         "first_conv": counts["first_conv"]["analytic"],
+                         "decoder_overhead": counts["decoder_overhead"]}
+        checked += 1
+    assert checked == len(C4_SHAPES) - 1
 
 
 def test_criterion_5_gradient_suite():

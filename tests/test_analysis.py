@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from sfqn.analysis import ConvSpec, capacity, cost_model
+from sfqn.analysis import capacity, cost_model
 from sfqn.autodiff import ShapeError, conv2d_extents
+from sfqn.qnet import VARIANTS, NetworkConfig
 
 
 def test_capacity_worked_numbers():
@@ -37,42 +38,43 @@ def test_capacity_rejects_nonpositive():
         capacity(1, 4, 4, 5, -1, 5)
 
 
+# (encoder, first_conv, decoder_overhead) on an 8x8 grid, stride 1,
+# padding 1, N=3, M=5: the first conv has 8 * C' * 9 * 8 * 8 multiplications
+WORKED_COSTS = {
+    "fuzzy": (192, 13824, 25),          # N*H*W; C' = N = 3; M*|A|
+    "fuzzy_ws": (192, 13824, 0),
+    "gaussian": (384, 13824, 25),       # two multiplications per degree
+    "rate": (0, 4608, 0),               # comparisons only; C' = 1
+    "nonspiking": (0, 4608, 0),
+}
+
+
 def test_cost_model_worked_numbers():
-    rep = cost_model(c=3, h=8, w=8, conv=ConvSpec(8, 3, 1, 1), n=3, m=5,
-                     n_actions=5)
-    assert rep.fuzzy_encoder == 576      # c * N * h * w
-    assert rep.first_conv == 13824       # 8 * 3 * 9 * 8 * 8
-    assert rep.rate_encoder == 0
-    assert rep.decoder_overhead == 25    # M * |A|
+    assert sorted(WORKED_COSTS) == sorted(VARIANTS)
+    for variant, costs in WORKED_COSTS.items():
+        rep = cost_model(NetworkConfig(variant=variant, obs_hw=(8, 8),
+                                       conv_stride=1))
+        assert (rep.encoder, rep.first_conv, rep.decoder_overhead) == costs
 
 
 def test_cost_model_shape_grid():
-    for c, hw, c_out, l, s, p in itertools.product(
-            (1, 3), (8, 16, 32), (4, 8), (3, 5), (1, 2), (0, 1)):
-        conv = ConvSpec(c_out, l, s, p)
-        rep = cost_model(c, hw, hw, conv, 3, 5, 5)
-        h_out, w_out = conv2d_extents(hw, hw, l, s, p)
-        assert rep.fuzzy_encoder == c * 3 * hw * hw
-        assert rep.first_conv == c_out * c * l * l * h_out * w_out
-        # with N=3 <= c_out*l^2 the encoder is always cheaper than the conv
-        assert rep.fuzzy_encoder < rep.first_conv
-
-
-def test_cost_model_rejects_empty_output():
-    with pytest.raises(ValueError):
-        cost_model(1, 2, 2, ConvSpec(4, 5, 1, 0), 3, 5, 5)
-
-
-@pytest.mark.parametrize("name", ["c", "h", "w", "n", "m", "n_actions",
-                                  "c_out", "kernel"])
-@pytest.mark.parametrize("bad", [0, -8])
-def test_cost_model_rejects_sizes_below_one(name, bad):
-    sizes = dict(c=1, h=8, w=8, n=3, m=5, n_actions=5)
-    conv = {"c_out": 8, "kernel": 3}
-    (conv if name in conv else sizes)[name] = bad
-    with pytest.raises(ValueError, match=f"^{name} must be a positive"):
-        cost_model(conv=ConvSpec(conv["c_out"], conv["kernel"], 2, 1),
-                   **sizes)
+    grid = list(itertools.product(sorted(VARIANTS), (8, 16, 32), (4, 8),
+                                  (3, 5), (1, 2), (0, 1), (2, 3)))
+    for variant, hw, c_out, l, s, p, n in grid:
+        cfg = NetworkConfig(variant=variant, obs_hw=(hw, hw), n_membership=n,
+                            conv_channels=(c_out,), conv_kernel=l,
+                            conv_stride=s, conv_padding=p)
+        rep = cost_model(cfg)
+        h_out = (hw + 2 * p - l) // s + 1
+        fuzzy, gaussian = cfg.encoder == "fuzzy", variant == "gaussian"
+        c_in = n if fuzzy else 1
+        assert rep.encoder == ((2 if gaussian else 1) * n * hw * hw
+                               if fuzzy else 0)
+        assert rep.first_conv == c_out * c_in * l * l * h_out * h_out
+        assert rep.decoder_overhead == (             # M=5, |A|=5
+            25 if cfg.decoder == "neural" else 0)
+        # the encoder is always cheaper than the first conv it feeds
+        assert rep.encoder < rep.first_conv
 
 
 def test_conv2d_extents_rejects_kernel_below_one():

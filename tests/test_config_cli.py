@@ -181,6 +181,10 @@ def test_config_component_rejection_is_config_error():
     ("n_vehicles = -1", "n_vehicles"),
     ("ego_speed = 50", "ego_speed"),
     ("ego_speed = 5", "ego_speed"),
+    ("n_membership = 0", "n_membership"),
+    ("grid_size = 0", "grid_size"),
+    ("warmup_steps = -5", "warmup_steps"),
+    ("spawn_min_gap = -5", "spawn_min_gap"),
 ])
 def test_config_rejects_sizes_and_periods_below_one(text, key):
     # each of these used to parse and fail only at network build or in
@@ -342,42 +346,55 @@ def test_cli_ablate_covers_matrix(tmp_path):
     assert {r["variant"] for r in rows} == set(ABLATION_MATRIX)
 
 
-def test_cli_analyze_capacity(tmp_path, capsys):
-    csv_path = tmp_path / "cap.csv"
-    assert main(["analyze-capacity", "--c", "1", "--height", "4",
-                 "--width", "4", "--t", "5", "--n", "3", "--m", "5",
+def _analyze(tmp_path, command: str, config_text: str) -> dict:
+    """`sfqn <command> --config` on `config_text`, its CSV as a dict."""
+    cfg_path, csv_path = tmp_path / "exp.cfg", tmp_path / "table.csv"
+    cfg_path.write_text(config_text)
+    assert main([command, "--config", str(cfg_path),
                  "--csv", str(csv_path)]) == 0
-    text = capsys.readouterr().out
-    assert "raw_bits" in text and "512" in text
-    table = {r["quantity"]: r["value"]
-             for r in csv.DictReader(csv_path.read_text().splitlines())}
-    assert table["raw_bits"] == "512"
-    assert table["rate_bits"] == "80"
-    assert table["pop_bits"] == "240"
-    assert table["q_pop_bits"] == "25"
+    return dict(list(csv.reader(csv_path.read_text().splitlines()))[1:])
+
+
+def test_cli_analyze_capacity(tmp_path, capsys):
+    # per one-channel 4x4 modality, T=5, N=3, M=5
+    table = _analyze(tmp_path, "analyze-capacity",
+                     "grid_size = 4\nt_steps = 5\nn_membership = 3\n"
+                     "m_population = 5\n")
+    assert "raw_bits" in capsys.readouterr().out
+    assert table["raw_bits"] == "512"    # 32 * 1 * 4 * 4
+    assert table["rate_bits"] == "80"    # 5 * 16
+    assert table["pop_bits"] == "240"    # 3 * 80
+    assert table["q_pop_bits"] == "25"   # M * T
 
 
 def test_cli_analyze_cost(tmp_path, capsys):
-    assert main(["analyze-cost", "--c", "3", "--height", "8", "--width", "8",
-                 "--c-out", "8", "--kernel", "3", "--stride", "1",
-                 "--padding", "1", "--n", "3", "--m", "5",
-                 "--actions", "5"]) == 0
+    table = _analyze(tmp_path, "analyze-cost",
+                     "grid_size = 8\nconv_stride = 1\nconv_padding = 1\n"
+                     "n_membership = 3\nm_population = 5\n")
     text = capsys.readouterr().out
-    assert "576" in text and "13824" in text
-    assert "rate_encoder" in text
+    assert "192" in text and "13824" in text
+    assert table == {"encoder": "192",           # N * 8 * 8
+                     "first_conv": "13824",      # 8 * 3 * 9 * 8 * 8
+                     "decoder_overhead": "25"}   # M * |A|
 
 
-@pytest.mark.parametrize("args, name", [
-    (["--c-out", "-8", "--n", "0"], "n"),
-    (["--c-out", "-8"], "c_out"),
-    (["--kernel", "0"], "kernel"),
-    (["--actions", "0"], "n_actions"),
-])
-def test_cli_analyze_cost_rejects_sizes_below_one(capsys, args, name):
-    assert main(["analyze-cost"] + args) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"error: {name} must be a positive integer" in captured.err
+def test_cli_analyze_cost_defaults_to_the_default_network(capsys):
+    # no --config: the built-in fuzzy network, its first conv over N=3
+    # encoder channels (8 * 3 * 9 * 16 * 16), not over one image channel
+    assert main(["analyze-cost"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["encoder", "3072"], ["first_conv", "55296"],
+                    ["decoder_overhead", "25"]]
+
+
+def test_cli_analyze_rejects_a_bad_config(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("n_membership = 0\n")
+    for command in ("analyze-capacity", "analyze-cost"):
+        assert main([command, "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_membership" in captured.err
 
 
 def test_cli_plot_membership_rejects_no_samples(tmp_path, capsys):

@@ -34,10 +34,13 @@ def test_membership_peak_is_one():
         assert membership_eval(bank, b).value[i] == pytest.approx(1.0)
 
 
-def test_membership_clamps_input():
-    bank = MembershipBank("triangular", 3, WORKED_BANK)
-    assert np.allclose(membership_eval(bank, 1.7).value,
-                       membership_eval(bank, 1.0).value)
+def test_membership_rejects_points_outside_unit_interval():
+    # a point outside [0,1] is an error, never clamped onto the bank
+    for kind in ("triangular", "gaussian"):
+        bank = MembershipBank(kind, 3)
+        for p in (1.7, -0.5, np.nan, [0.5, 1.7]):
+            with pytest.raises(ValueError, match=r"\[0,1\]"):
+                membership_eval(bank, p)
 
 
 def test_bank_ordering_enforced():
