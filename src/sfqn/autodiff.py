@@ -13,8 +13,9 @@ graph: each interior node drops its gradient, rule and parent links once it
 has passed its gradient on, so saved arrays are freed during the walk and a
 graph runs backward once.  A Tensor takes a gradient exactly when it has
 a node; constants (inputs wrapped by `as_tensor`, Tensors built only from
-constants, and values computed inside `no_grad()`, where ops record no
-nodes and so build no graph) take none, not even from a later graph.  Spike
+constants, and values computed inside `no_grad()`) take none, not even
+from a later graph: an op whose operands take none returns a constant
+before it builds a node or a backward rule (`_unary`, `_binary`).  Spike
 nonlinearities get a hard forward (Heaviside) with an arctangent surrogate
 derivative that is computed only when backward runs.  `spike_recurrence`
 runs a whole (L)IF membrane recurrence over T steps as one node, with
@@ -313,15 +314,31 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 # elementwise ops
 # ---------------------------------------------------------------------------
 
+def _unary(a: Tensor, out_val: np.ndarray, grad,
+           x: np.ndarray | None = None, y: np.ndarray | None = None) -> Tensor:
+    """Output of a one-operand op, as `_binary` with one operand: its
+    gradient is `grad(g, x, y)`, accumulated as it is."""
+    na = _grad_node(a)
+    if na is None:
+        return Tensor(out_val, constant=True)
+
+    def backward(g):
+        _acc(na, grad(g, x, y))
+
+    return Tensor(out_val, (na,), backward)
+
+
 def _binary(a: Tensor, b: Tensor, out_val: np.ndarray, grad_a, grad_b,
             x: np.ndarray | None = None, y: np.ndarray | None = None) -> Tensor:
-    """Node of a broadcasting binary op.  `grad_a(g, x, y)` and
-    `grad_b(g, x, y)` are the operands' gradients at the output's shape,
+    """Output of a broadcasting binary op or `matmul`.  `grad_a(g, x, y)`
+    and `grad_b(g, x, y)` are the operands' gradients at the output's shape,
     from the arrays `x` and `y` the op saves for them; each is summed down
     to its operand's shape and accumulated only if that operand takes one.
-    The backward rule holds `x` and `y` itself, so they are all the graph
-    keeps of the op."""
+    If neither does, the output is a constant and no rule is built; else
+    the rule holds `x` and `y` itself, the graph's only copy of them."""
     na, nb = _grad_node(a), _grad_node(b)
+    if na is None and nb is None:
+        return Tensor(out_val, constant=True)
     shape_a, shape_b = a.value.shape, b.value.shape
 
     def backward(g):
@@ -335,6 +352,10 @@ def _binary(a: Tensor, b: Tensor, out_val: np.ndarray, grad_a, grad_b,
 
 def _upstream(g, x, y):
     return g
+
+
+def _times_x(g, x, y):
+    return g * x
 
 
 def add(a, b) -> Tensor:
@@ -351,7 +372,7 @@ def mul(a, b) -> Tensor:
     """Saves each operand only for the other operand's gradient."""
     a, b = as_tensor(a), as_tensor(b)
     return _binary(a, b, a.value * b.value, lambda g, x, y: g * y,
-                   lambda g, x, y: g * x, None if b.constant else a.value,
+                   _times_x, None if b.constant else a.value,
                    None if a.constant else b.value)
 
 
@@ -365,24 +386,13 @@ def div(a, b) -> Tensor:
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.value > 0  # derivative 0 at exactly 0 (left limit)
-    out_val = np.where(mask, a.value, 0.0)
-    na = _grad_node(a)
-
-    def backward(g):
-        _acc(na, g * mask)
-
-    return Tensor(out_val, (na,), backward)
+    return _unary(a, np.where(mask, a.value, 0.0), _times_x, mask)
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out_val = np.exp(a.value)
-    na = _grad_node(a)
-
-    def backward(g):
-        _acc(na, g * out_val)
-
-    return Tensor(out_val, (na,), backward)
+    return _unary(a, out_val, _times_x, out_val)
 
 
 def minimum(a, b) -> Tensor:
@@ -390,7 +400,7 @@ def minimum(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     take_a = a.value <= b.value
     return _binary(a, b, np.where(take_a, a.value, b.value),
-                   lambda g, x, y: g * x, lambda g, x, y: g * ~x, take_a)
+                   _times_x, lambda g, x, y: g * ~x, take_a)
 
 
 def maximum(a, b) -> Tensor:
@@ -398,7 +408,7 @@ def maximum(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     take_a = a.value >= b.value
     return _binary(a, b, np.where(take_a, a.value, b.value),
-                   lambda g, x, y: g * x, lambda g, x, y: g * ~x, take_a)
+                   _times_x, lambda g, x, y: g * ~x, take_a)
 
 
 # ---------------------------------------------------------------------------
@@ -407,17 +417,10 @@ def maximum(a, b) -> Tensor:
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
-    out_val = a.value.sum(axis=axis, keepdims=keepdims)
-    na, shape = _grad_node(a), a.value.shape
-
-    def backward(g):
-        if axis is None:
-            _acc(na, np.broadcast_to(g, shape))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _acc(na, np.broadcast_to(gg, shape))
-
-    return Tensor(out_val, (na,), backward)
+    shape, expand = a.value.shape, axis is not None and not keepdims
+    return _unary(a, a.value.sum(axis=axis, keepdims=keepdims),
+                  lambda g, x, y: np.broadcast_to(
+                      np.expand_dims(g, axis) if expand else g, shape))
 
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
@@ -428,25 +431,15 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out_val = a.value.reshape(shape)
-    na, in_shape = _grad_node(a), a.value.shape
-
-    def backward(g):
-        _acc(na, g.reshape(in_shape))
-
-    return Tensor(out_val, (na,), backward)
+    in_shape = a.value.shape
+    return _unary(a, a.value.reshape(shape),
+                  lambda g, x, y: g.reshape(in_shape))
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
-    out_val = a.value.transpose(axes)
-    inv = np.argsort(axes)
-    na = _grad_node(a)
-
-    def backward(g):
-        _acc(na, g.transpose(inv))
-
-    return Tensor(out_val, (na,), backward)
+    return _unary(a, a.value.transpose(axes),
+                  lambda g, x, y: g.transpose(x), np.argsort(axes))
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -454,6 +447,8 @@ def concat(tensors, axis=0) -> Tensor:
     out_val = np.concatenate([t.value for t in tensors], axis=axis)
     splits = np.cumsum([t.value.shape[axis] for t in tensors])[:-1]
     nodes = [_grad_node(t) for t in tensors]
+    if not any(nodes):
+        return Tensor(out_val, constant=True)
 
     def backward(g):
         for node, piece in zip(nodes, np.split(g, splits, axis=axis)):
@@ -478,23 +473,15 @@ def matmul(a, b) -> Tensor:
     out_val = np.matmul(a.value, b.value)
     record_mults(out_val.size // out_val.shape[-1] * a.value.shape[-1]
                  * b.value.shape[-1])
-    na, nb = _grad_node(a), _grad_node(b)
-    shape_a, shape_b = a.value.shape, b.value.shape
+    shared = b.value.ndim == 2          # a shared weight: one GEMM
     # each operand is saved only for the other one's gradient
-    av = None if nb is None else a.value
-    bv = None if na is None else b.value
-
-    def backward(g):
-        if na is not None:
-            _acc(na, _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)),
-                                  shape_a))
-        if nb is not None:
-            gb = (av.reshape(-1, shape_a[-1]).T @ g.reshape(-1, g.shape[-1])
-                  if len(shape_b) == 2 else         # a shared weight: one GEMM
-                  np.matmul(np.swapaxes(av, -1, -2), g))
-            _acc(nb, _unbroadcast(gb, shape_b))
-
-    return Tensor(out_val, (na, nb), backward)
+    return _binary(a, b, out_val,
+                   lambda g, x, y: np.matmul(g, np.swapaxes(y, -1, -2)),
+                   lambda g, x, y: (x.reshape(-1, x.shape[-1]).T
+                                    @ g.reshape(-1, g.shape[-1]) if shared
+                                    else np.matmul(np.swapaxes(x, -1, -2), g)),
+                   None if b.constant else a.value,
+                   None if a.constant else b.value)
 
 
 # Elements per block of `spike_recurrence` and of the `conv2d` backward: a
@@ -565,6 +552,8 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
     record_mults(out.size * kmat.shape[1])
     out = out.reshape(x.shape[:-3] + (c_out, h_out, w_out))
     nx, nk = _grad_node(x), _grad_node(kernels)
+    if nx is None and nk is None:
+        return Tensor(out, constant=True)
     x_shape = x.value.shape
 
     def backward(g):
@@ -641,12 +630,8 @@ def surrogate_spike(u, threshold: float = 1.0, alpha: float = 2.0) -> Tensor:
     u = as_tensor(u)
     out_val = np.empty(u.shape)
     _fire(u.value, threshold, out_val, alpha)
-    nu, uv = _grad_node(u), u.value
-
-    def backward(g):
-        _acc(nu, g * arctan_surrogate_grad(uv - threshold, alpha))
-
-    return Tensor(out_val, (nu,), backward)
+    return _unary(u, out_val, lambda g, x, y: g * arctan_surrogate_grad(
+        x - threshold, alpha), u.value)
 
 
 def surrogate_spike_below(u, threshold: float, alpha: float = 2.0) -> Tensor:
@@ -669,7 +654,7 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
     `theta_neg`, the reset membrane then emits -1 at v <= theta_neg and
     subtracts theta_neg.  This is the per-step graph of `surrogate_spike`
     and `surrogate_spike_below` fused into one node: forward keeps only the
-    pre-threshold membranes (none under `no_grad`), and backward runs
+    pre-threshold membranes (none if `x` takes no gradient), and backward runs
     backpropagation through time with the arctangent surrogate derivative,
     reset path included.
 
@@ -695,8 +680,9 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
               for b in range(0, shape[1], step)]
     spikes = np.empty(shape)
     # membranes before each threshold test, kept only for backward
-    pre_pos = np.empty(shape) if _Flags.grad else None
-    pre_neg = np.empty(shape) if _Flags.grad and theta_neg is not None else None
+    keep = _Flags.grad and not x.constant
+    pre_pos = np.empty(shape) if keep else None
+    pre_neg = np.empty(shape) if keep and theta_neg is not None else None
     bufs = np.empty((2, step) + shape[2:])
     for blk in blocks:
         v, tmp = bufs[:, :blk.stop - blk.start]
@@ -718,9 +704,9 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
                 np.subtract(s, tmp, out=s)
                 np.subtract(mid, np.multiply(tmp, theta_neg, out=tmp), out=v)
 
-    nx, x_shape = _grad_node(x), x.value.shape
+    x_shape = x.value.shape
 
-    def backward(g):
+    def grad(g, pre_pos, pre_neg):
         g = g.reshape(shape)
         dx = np.empty(x_shape if repeat else shape)
         bufs = np.empty((3, step) + shape[2:])
@@ -754,9 +740,9 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
                 np.copyto(dx[blk], dxs[0])
                 for d in dxs[1:]:
                     np.add(dx[blk], d, out=dx[blk])
-        _acc(nx, dx.reshape(x_shape))
+        return dx.reshape(x_shape)
 
-    return Tensor(spikes.reshape((-1,) + shape[2:]), (nx,), backward)
+    return _unary(x, spikes.reshape((-1,) + shape[2:]), grad, pre_pos, pre_neg)
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +760,8 @@ def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     gv = gamma.value
     out_val = xhat * gv + beta.value
     nx, ng, nb = _grad_node(x), _grad_node(gamma), _grad_node(beta)
+    if nx is None and ng is None and nb is None:
+        return Tensor(out_val, constant=True)
     shape_g, shape_b = gv.shape, beta.value.shape
 
     def backward(g):

@@ -45,23 +45,23 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig) -> None:
     (out_dir / "config.cfg").write_text(cfg.serialize())
 
 
-def _train_variant(cfg: ExperimentConfig, variant: str, out_dir: Path,
-                   verbose: bool) -> list[MetricsRow]:
-    rows: list[MetricsRow] = []
-    for seed in cfg.seeds:
-        net = QNetwork(cfg.network_config(seed, variant))
+def _train_jobs(cfg: ExperimentConfig, variants, out_dir: Path,
+                verbose: bool):
+    """Run one training job per (variant, seed), variants outer, one after
+    another; yields each job's variant and metrics rows.  A job writes its
+    checkpoints to `out_dir`."""
+    def progress(row):
+        if verbose:
+            print(f"[{variant} seed {row.seed}] step {row.step}: "
+                  f"reward {row.avg_reward:.3f} speed {row.avg_speed:.2f} "
+                  f"crash {row.crash_freq:.4f}", file=sys.stderr)
 
-        def progress(row):
-            if verbose:
-                print(f"[{variant} seed {row.seed}] step {row.step}: "
-                      f"reward {row.avg_reward:.3f} speed {row.avg_speed:.2f} "
-                      f"crash {row.crash_freq:.4f}", file=sys.stderr)
-
-        rows.extend(run_training(
-            net, cfg.train_config(seed), cfg.env_config(),
-            checkpoint_dir=out_dir, checkpoint_tag=f"{variant}_seed{seed}",
-            progress=progress))
-    return rows
+    for variant in variants:
+        for seed in cfg.seeds:
+            yield variant, run_training(
+                QNetwork(cfg.network_config(seed, variant)),
+                cfg.train_config(seed), cfg.env_config(),
+                checkpoint_dir=out_dir, progress=progress)
 
 
 def cmd_train(args) -> int:
@@ -71,7 +71,8 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out or cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, cfg)
-    rows = _train_variant(cfg, cfg.variant, out_dir, not args.quiet)
+    rows = [row for _, job in _train_jobs(cfg, [cfg.variant], out_dir,
+                                          not args.quiet) for row in job]
     write_metrics(out_dir / "metrics.csv", rows)
     print(f"wrote {out_dir / 'metrics.csv'} ({len(rows)} checkpoints)")
     return 0
@@ -97,9 +98,10 @@ def cmd_ablate(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["variant"] + [f.name for f in
                                        dataclasses.fields(MetricsRow)])
-        for variant in ABLATION_MATRIX:
-            for row in _train_variant(cfg, variant, out_dir, not args.quiet):
-                writer.writerow((variant,) + dataclasses.astuple(row))
+        for variant, job in _train_jobs(cfg, ABLATION_MATRIX, out_dir,
+                                        not args.quiet):
+            writer.writerows((variant,) + dataclasses.astuple(row)
+                             for row in job)
     print(f"wrote {path}")
     return 0
 

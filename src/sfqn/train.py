@@ -126,6 +126,12 @@ class TrainConfig:
                    if not 0.0 <= getattr(self, name) <= 1.0]
         if outside:
             raise ValueError(f"must lie in [0,1]: {', '.join(outside)}")
+        if self.batch > self.buffer_capacity:     # no update could ever run
+            raise ValueError(f"batch {self.batch} exceeds buffer_capacity "
+                             f"{self.buffer_capacity}")
+        if self.warmup_steps >= self.total_steps:
+            raise ValueError(f"warmup_steps {self.warmup_steps} must be below "
+                             f"total_steps {self.total_steps}")
 
     def epsilon(self, step: int) -> float:
         span = max(1, int(self.eps_fraction * self.total_steps))
@@ -247,9 +253,10 @@ def write_metrics(path, rows: list[MetricsRow]) -> None:
 
 def run_training(net: QNetwork, cfg: TrainConfig,
                  env_cfg: HighwayConfig | None = None,
-                 checkpoint_dir=None, checkpoint_tag: str = "net",
-                 progress=None) -> list[MetricsRow]:
+                 checkpoint_dir=None, progress=None) -> list[MetricsRow]:
     """Full DQN run for one seed; returns one metrics row per checkpoint.
+    With `checkpoint_dir`, each checkpoint also saves the network there as
+    `{variant}_seed{cfg.seed}_step{step}.sfqn`.
 
     Bit-reproducible for a fixed (cfg, net seed): every stream of randomness
     is derived from cfg.seed.
@@ -292,7 +299,8 @@ def run_training(net: QNetwork, cfg: TrainConfig,
                                    metrics["avg_speed"], metrics["crash_freq"],
                                    eps, last_loss))
             if checkpoint_dir is not None:
-                net.save(f"{checkpoint_dir}/{checkpoint_tag}_step{step}.sfqn")
+                net.save(f"{checkpoint_dir}/{net.cfg.variant}_seed{cfg.seed}"
+                         f"_step{step}.sfqn")
             if progress is not None:
                 progress(rows[-1])
     return rows

@@ -709,3 +709,72 @@ def test_count_mults_nests_and_restores_after_exception():
         a @ b                                  # outer restored after it
     a @ b                                      # nothing armed any more
     assert (outer.mults, inner.mults, failed.mults) == (72, 48, 24)
+
+
+# Every public op with operand values of a shape it takes: (op, values).
+_RNG = np.random.default_rng(11)
+OPS = {
+    "add": (ad.add, [_RNG.standard_normal((2, 3)), _RNG.standard_normal(3)]),
+    "sub": (ad.sub, [_RNG.standard_normal((2, 3)), _RNG.standard_normal(3)]),
+    "mul": (ad.mul, [_RNG.standard_normal((2, 3)), _RNG.standard_normal(3)]),
+    "div": (ad.div, [_RNG.standard_normal((2, 3)), _RNG.random(3) + 0.5]),
+    "relu": (ad.relu, [_RNG.standard_normal((2, 3))]),
+    "exp": (ad.exp, [_RNG.standard_normal((2, 3))]),
+    "minimum": (ad.minimum, [_RNG.standard_normal((2, 3)),
+                             _RNG.standard_normal((2, 3))]),
+    "maximum": (ad.maximum, [_RNG.standard_normal((2, 3)),
+                             _RNG.standard_normal(3)]),
+    "tsum": (lambda a: ad.tsum(a, axis=1), [_RNG.standard_normal((2, 3))]),
+    "tmean": (lambda a: ad.tmean(a, axis=0, keepdims=True),
+              [_RNG.standard_normal((2, 3))]),
+    "reshape": (lambda a: ad.reshape(a, (3, 2)), [_RNG.standard_normal((2, 3))]),
+    "transpose": (lambda a: ad.transpose(a, (2, 0, 1)),
+                  [_RNG.standard_normal((2, 3, 4))]),
+    "concat": (lambda a, b: ad.concat([a, b], axis=0),
+               [_RNG.standard_normal((2, 3)), _RNG.standard_normal((1, 3))]),
+    "matmul": (ad.matmul, [_RNG.standard_normal((2, 2, 3)),
+                           _RNG.standard_normal((3, 4))]),
+    "matmul-stacked": (ad.matmul, [_RNG.standard_normal((2, 2, 3)),
+                                   _RNG.standard_normal((2, 3, 4))]),
+    "conv2d": (lambda x, k: ad.conv2d(x, k, 1, 1),
+               [_RNG.standard_normal((2, 1, 4, 4)),
+                _RNG.standard_normal((2, 1, 3, 3))]),
+    "surrogate_spike": (ad.surrogate_spike, [_RNG.random((2, 3)) * 2.0]),
+    "surrogate_spike_below": (lambda u: ad.surrogate_spike_below(u, -0.5),
+                              [_RNG.standard_normal((2, 3))]),
+    "spike_recurrence": (lambda x: ad.spike_recurrence(
+        x, 2, theta_neg=-0.5, tau=2.0), [_RNG.standard_normal((4, 3)) * 2.0]),
+    "layernorm": (ad.layernorm, [_RNG.standard_normal((2, 4)),
+                                 _RNG.random(4) + 0.5,
+                                 _RNG.standard_normal(4)]),
+}
+
+
+@pytest.mark.parametrize("name", list(OPS))
+def test_an_op_records_a_node_exactly_when_an_operand_takes_a_gradient(name):
+    op, values = OPS[name]
+    # all operands constant: a constant, with no rule
+    out = op(*[ad.as_tensor(v) for v in values])
+    assert out.constant and out.parents == () and out._backward is None
+    # every operand a parameter: the graph every other case compares with
+    params = [Tensor(v) for v in values]
+    ref = op(*params)
+    assert not ref.constant
+    seed = np.random.default_rng(3).standard_normal(ref.shape)
+    ref.backward(seed)
+    # under no_grad: a constant with the graph forward's bits
+    with ad.no_grad():
+        out = op(*[Tensor(v) for v in values])
+    assert out.constant and out.parents == () and out._backward is None
+    assert out.value.tobytes() == ref.value.tobytes()
+    # one parameter operand: a node whose backward fills only its gradient,
+    # bitwise the all-parameter graph's
+    for i in range(len(values)):
+        operands = [Tensor(v) if j == i else ad.as_tensor(v)
+                    for j, v in enumerate(values)]
+        out = op(*operands)
+        assert not out.constant
+        out.backward(seed)
+        assert [t.grad is not None for t in operands] == [
+            j == i for j in range(len(values))]
+        assert operands[i].grad.tobytes() == params[i].grad.tobytes()

@@ -185,6 +185,12 @@ def test_config_component_rejection_is_config_error():
     ("grid_size = 0", "grid_size"),
     ("warmup_steps = -5", "warmup_steps"),
     ("spawn_min_gap = -5", "spawn_min_gap"),
+    # runs in which no update can run: they used to train nothing, with
+    # train_loss NaN at every checkpoint and unchanged parameters
+    ("batch = 16\nbuffer_capacity = 8", "batch 16 exceeds buffer_capacity 8"),
+    ("total_steps = 40\nwarmup_steps = 40",
+     "warmup_steps 40 must be below total_steps 40"),
+    ("total_steps = 40", "warmup_steps 500 must be below total_steps 40"),
 ])
 def test_config_rejects_sizes_and_periods_below_one(text, key):
     # each of these used to parse and fail only at network build or in
@@ -198,6 +204,13 @@ def test_config_heads_must_divide_embedding_width():
     with pytest.raises(ConfigError, match="n_heads 3"):
         parse_config("n_heads = 3\n")
     assert parse_config("n_heads = 4\n").n_heads == 4
+
+
+def test_config_accepts_the_smallest_runs_that_update():
+    cfg = parse_config("batch = 8\nbuffer_capacity = 8\ntotal_steps = 11\n"
+                       "warmup_steps = 10\n")
+    assert (cfg.batch, cfg.buffer_capacity) == (8, 8)
+    assert (cfg.warmup_steps, cfg.total_steps) == (10, 11)
 
 
 def test_config_unknown_key_reports_line():

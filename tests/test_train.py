@@ -236,16 +236,16 @@ def test_run_training_reproducible_and_checkpoints(tmp_path):
 
     def run(out=None):
         net = QNetwork(NetworkConfig(**ncfg))
-        return run_training(net, tcfg, ecfg, checkpoint_dir=out,
-                            checkpoint_tag="t")
+        return run_training(net, tcfg, ecfg, checkpoint_dir=out)
 
     rows1 = run(tmp_path)
     rows2 = run()
     assert rows1 == rows2                   # bit-reproducible
     assert [r.step for r in rows1] == [30, 60]
     assert all(np.isfinite(r.train_loss) for r in rows1)
-    assert (tmp_path / "t_step30.sfqn").exists()
-    assert (tmp_path / "t_step60.sfqn").exists()
+    # named by the net's variant and the run's seed
+    assert (tmp_path / "fuzzy_seed3_step30.sfqn").exists()
+    assert (tmp_path / "fuzzy_seed3_step60.sfqn").exists()
 
 
 # A short run of every variant on a tiny grid: sha256 prefixes of the final
