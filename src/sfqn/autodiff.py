@@ -1,12 +1,20 @@
 """Minimal dense-array reverse-mode autodiff.
 
-Values are numpy float64 arrays of rank <= 4.  A `Tensor` holds a value;
-each Tensor that takes a gradient also has a graph node (`_Node`) that
-holds its gradient, its parents' nodes and its backward rule, never a
-value.  A backward rule holds exactly the arrays it reads (saved operands,
-masks, membranes, patches) and the nodes it accumulates into, never an
-operand Tensor, so the graph keeps only what backward reads: an interior
-value no rule reads goes as soon as the forward drops its Tensor.
+Values are numpy arrays of rank <= 4: float64, except spikes, which are
+int8 (`SPIKE_DTYPE`, one byte per spike and per saved copy of it).  An op
+on spikes alone keeps int8 (a sum of two spike tensors holds small exact
+integers); any other op gives float64, and BLAS products and reductions
+read an int8 operand through a float64 copy in its memory layout, so
+results are bitwise those of float64 spikes.  Spikes under
+`soft_spike_forward` are not binary and stay float64.
+
+A `Tensor` holds a value; each Tensor that takes a gradient also has a
+graph node (`_Node`) that holds its gradient, its parents' nodes and its
+backward rule, never a value.  A backward rule holds exactly the arrays it
+reads (saved operands, masks, membranes, patches) and the nodes it
+accumulates into, never an operand Tensor, so the graph keeps only what
+backward reads: an interior value no rule reads goes as soon as the
+forward drops its Tensor.
 `Tensor.backward()` walks the graph once in reverse topological order and
 accumulates gradients (shared subexpressions sum).  The walk consumes the
 graph: each interior node drops its gradient, rule and parent links once it
@@ -51,8 +59,15 @@ class NumericError(ArithmeticError):
 # tensor
 # ---------------------------------------------------------------------------
 
+# The dtype of spikes: exact 0/1 (and -1 for ternary neurons) at one byte.
+SPIKE_DTYPE = np.int8
+
+
 def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
+    """int8 spikes as they are, anything else as float64."""
+    arr = np.asarray(value)
+    if arr.dtype != SPIKE_DTYPE:
+        arr = arr.astype(np.float64, copy=False)
     if arr.ndim > MAX_RANK:
         raise ShapeError(f"rank {arr.ndim} exceeds maximum {MAX_RANK}")
     return arr
@@ -195,10 +210,19 @@ class Tensor:
         backward closure and its parent links, so the arrays its closure
         saved are freed during the walk.  Leaves keep `.grad`.  Backward
         therefore runs once per graph; a second `backward()` that reaches a
-        consumed node raises `ValueError`.
+        consumed node raises `ValueError`.  A `seed` must have the output's
+        shape (`ShapeError` otherwise).
         """
         if (root := self._node) is None:
             raise ValueError("backward() of a constant, which has no graph")
+        if seed is None:
+            if self.value.size != 1:
+                raise ShapeError("backward() without seed requires a scalar output")
+            seed = np.ones(self.value.shape)
+        seed = np.asarray(seed, dtype=np.float64)
+        if seed.shape != self.value.shape:
+            raise ShapeError(f"backward() seed of shape {seed.shape} for an "
+                             f"output of shape {self.value.shape}")
         topo: list[_Node] = []
         seen: set[int] = set()
         stack: list[tuple[_Node, bool]] = [(root, False)]
@@ -217,11 +241,7 @@ class Tensor:
 
         for node in topo:
             node.grad = None
-        if seed is None:
-            if self.value.size != 1:
-                raise ShapeError("backward() without seed requires a scalar output")
-            seed = np.ones_like(self.value)
-        root.grad = np.asarray(seed, dtype=np.float64).reshape(self.value.shape)
+        root.grad = seed
 
         while topo:
             node = topo.pop()
@@ -287,6 +307,17 @@ class Module:
 
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
+
+
+def _spike_dtype():
+    """int8, or float64 under `soft_spike_forward` (not binary there)."""
+    return np.float64 if _Flags.soft_spike else SPIKE_DTYPE
+
+
+def _f64(v: np.ndarray) -> np.ndarray:
+    """`v` itself if float64, else a float64 copy in `v`'s memory layout, so
+    that BLAS reads an int8 operand exactly as it read a float64 one."""
+    return v.astype(np.float64, copy=False)
 
 
 def _grad_node(t: Tensor) -> _Node | None:
@@ -418,7 +449,8 @@ def maximum(a, b) -> Tensor:
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     shape, expand = a.value.shape, axis is not None and not keepdims
-    return _unary(a, a.value.sum(axis=axis, keepdims=keepdims),
+    return _unary(a, a.value.sum(axis=axis, keepdims=keepdims,
+                                 dtype=np.float64),
                   lambda g, x, y: np.broadcast_to(
                       np.expand_dims(g, axis) if expand else g, shape))
 
@@ -470,16 +502,17 @@ def matmul(a, b) -> Tensor:
     if a.value.shape[-1] != b.value.shape[-2]:
         raise ShapeError(
             f"matmul inner dimensions differ: {a.value.shape} @ {b.value.shape}")
-    out_val = np.matmul(a.value, b.value)
+    out_val = np.matmul(_f64(a.value), _f64(b.value))
     record_mults(out_val.size // out_val.shape[-1] * a.value.shape[-1]
                  * b.value.shape[-1])
     shared = b.value.ndim == 2          # a shared weight: one GEMM
     # each operand is saved only for the other one's gradient
     return _binary(a, b, out_val,
-                   lambda g, x, y: np.matmul(g, np.swapaxes(y, -1, -2)),
-                   lambda g, x, y: (x.reshape(-1, x.shape[-1]).T
+                   lambda g, x, y: np.matmul(g, np.swapaxes(_f64(y), -1, -2)),
+                   lambda g, x, y: (_f64(x).reshape(-1, x.shape[-1]).T
                                     @ g.reshape(-1, g.shape[-1]) if shared
-                                    else np.matmul(np.swapaxes(x, -1, -2), g)),
+                                    else np.matmul(np.swapaxes(_f64(x), -1, -2),
+                                                   g)),
                    None if b.constant else a.value,
                    None if a.constant else b.value)
 
@@ -514,7 +547,9 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
     the padding, to a zero slot after the sample's C*H*W values.  Forward
     gathers the patch matrix along it with `np.take`, only for the live
     samples (those with a nonzero or NaN input), and runs one GEMM per live
-    sample; a dead sample's output is exact zeros.  The multiplication count
+    sample; a dead sample's output is exact zeros.  The zero-padded slots and
+    the patches keep the input's dtype, so the patches of spikes that the
+    kernel gradient reads are int8.  The multiplication count
     is that of the dense operation.  Backward computes the kernel gradient
     from the live samples' patches; the input gradient covers every sample
     and runs over blocks of whole samples, about SPIKE_BLOCK patch entries
@@ -541,11 +576,12 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
     rows = x.value.reshape(b, c * h * w)
     live = np.flatnonzero(rows.any(axis=1))       # NaN counts as nonzero
     dense = live.size == b
-    slots = np.zeros((live.size, c * h * w + 1))  # last slot: the zero pad
+    slots = np.zeros((live.size, c * h * w + 1),  # last slot: the zero pad
+                     x.value.dtype)
     slots[:, :-1] = rows if dense else rows[live]
     cols = np.take(slots, idx, axis=1)            # (live, C*l*l, Ho*Wo)
     kmat = kernels.value.reshape(c_out, c * l * l)
-    out = np.matmul(kmat, cols)                   # (live, Cout, Ho*Wo)
+    out = np.matmul(kmat, _f64(cols))             # (live, Cout, Ho*Wo)
     if not dense:                                 # dead rows give exact zeros
         out, live_out = np.zeros((b,) + out.shape[1:]), out
         out[live] = live_out
@@ -562,7 +598,7 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
             # the axis-0 sum adds slice by slice, so leaving out the dead
             # rows' all-zero slices changes no bit
             _acc(nk, np.matmul(gmat if dense else gmat[live],
-                               cols.transpose(0, 2, 1)).sum(0)
+                               _f64(cols).transpose(0, 2, 1)).sum(0)
                  .reshape(c_out, c, l, l))
         if nx is None:
             return
@@ -628,7 +664,7 @@ def surrogate_spike(u, threshold: float = 1.0, alpha: float = 2.0) -> Tensor:
     if alpha <= 0:
         raise ValueError("surrogate alpha must be positive")
     u = as_tensor(u)
-    out_val = np.empty(u.shape)
+    out_val = np.empty(u.shape, _spike_dtype())
     _fire(u.value, threshold, out_val, alpha)
     return _unary(u, out_val, lambda g, x, y: g * arctan_surrogate_grad(
         x - threshold, alpha), u.value)
@@ -660,7 +696,9 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
 
     Both directions run all T steps over one block of whole samples (about
     SPIKE_BLOCK neurons) before the next, and every op writes into the
-    output or into block-sized buffers reused across blocks and steps.  The
+    output or into block-sized float64 buffers reused across blocks and
+    steps; each step's spikes are copied from their buffer into the int8
+    output (float64 under `soft_spike_forward`).  The
     per-element operations and their order are those of the per-step graph,
     less its multiplications by a theta_pos of 1, so results are bitwise
     equal to it.
@@ -678,14 +716,14 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
     step = max(1, min(shape[1], SPIKE_BLOCK // max(1, math.prod(shape[2:]))))
     blocks = [slice(b, min(b + step, shape[1]))
               for b in range(0, shape[1], step)]
-    spikes = np.empty(shape)
+    spikes = np.empty(shape, _spike_dtype())
     # membranes before each threshold test, kept only for backward
     keep = _Flags.grad and not x.constant
     pre_pos = np.empty(shape) if keep else None
     pre_neg = np.empty(shape) if keep and theta_neg is not None else None
-    bufs = np.empty((2, step) + shape[2:])
+    bufs = np.empty((3, step) + shape[2:])
     for blk in blocks:
-        v, tmp = bufs[:, :blk.stop - blk.start]
+        v, tmp, s = bufs[:, :blk.stop - blk.start]
         v.fill(0.0)
         for t, x_t in enumerate(xs[:, blk]):
             pre = v if pre_pos is None else pre_pos[t, blk]
@@ -694,7 +732,6 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
             else:
                 np.multiply(np.subtract(x_t, v, out=tmp), decay, out=tmp)
                 np.add(v, tmp, out=pre)
-            s = spikes[t, blk]
             _fire(pre, theta_pos, s, alpha)
             mid = v if pre_neg is None else pre_neg[t, blk]
             np.subtract(pre, s if unit else np.multiply(s, theta_pos, out=tmp),
@@ -703,6 +740,7 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
                 _fire(mid, theta_neg, tmp, alpha, below=True)
                 np.subtract(s, tmp, out=s)
                 np.subtract(mid, np.multiply(tmp, theta_neg, out=tmp), out=v)
+            spikes[t, blk] = s
 
     x_shape = x.value.shape
 

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -37,9 +38,17 @@ def _code_sha256() -> str:
 
 
 def _write_manifest(out_dir: Path, cfg: ExperimentConfig) -> None:
+    """Config, code and numerics of a run.  Bitwise results hold per BLAS
+    build, so the manifest names the BLAS numpy links and the thread
+    variables the process saw (null when unset); the thread count the
+    library actually runs is not read."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {"config_sha256": cfg.digest(), "seeds": list(cfg.seeds),
                 "code_version": __version__, "code_sha256": _code_sha256(),
-                "numpy": np.__version__, "variant": cfg.variant}
+                "numpy": np.__version__, "variant": cfg.variant,
+                "blas": {"name": blas["name"], "version": blas["version"]},
+                **{var: os.environ.get(var) for var in
+                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2,
                                                       sort_keys=True) + "\n")
     (out_dir / "config.cfg").write_text(cfg.serialize())

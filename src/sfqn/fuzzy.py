@@ -135,11 +135,12 @@ def fuzzy_encode(bank: MembershipBank, image, t_steps: int,
 def rate_encode(image, t_steps: int, rng: np.random.Generator) -> Tensor:
     """Bernoulli rate coding: spike probability equals the pixel value.
 
-    A (B, ...) image gives (T*B, ...) spikes, T-major, drawing step t's
-    noise before step t+1's.  The caller checks the window and the pixels.
+    A (B, ...) image gives (T*B, ...) int8 spikes, T-major, drawing step
+    t's noise before step t+1's.  The caller checks the window and the
+    pixels.
     """
     img = np.asarray(image, dtype=np.float64)
-    spikes = rng.random((t_steps,) + img.shape) < img
+    spikes = (rng.random((t_steps,) + img.shape) < img).astype(ad.SPIKE_DTYPE)
     return ad.as_tensor(spikes.reshape((-1,) + img.shape[1:]))
 
 

@@ -213,6 +213,8 @@ LIVE_ROW_CASES = {
     "negative_zero_row": lambda rng: np.where(
         np.arange(5)[:, None, None, None] == 1, -0.0,
         _spike_batch(rng, (5, 3, 7, 6), (3,))),
+    "int8_spikes": lambda rng: _spike_batch(
+        rng, (6, 3, 7, 6), (1, 4)).astype(ad.SPIKE_DTYPE),
     "unbatched": lambda rng: _spike_batch(rng, (3, 7, 6), ()),
     "unbatched_dead": lambda rng: np.zeros((3, 7, 6)),
 }
@@ -291,6 +293,32 @@ def test_surrogate_spike_saturation():
     assert s.value[0] == 0.0
     s.backward(np.ones(1))
     assert abs(u.grad[0]) < 1e-4
+
+
+def test_spike_producers_emit_int8_and_float64_under_soft_spikes():
+    """Spikes are int8 (ternary ones included, and those of a constant
+    input, which keeps no membranes), except under `soft_spike_forward`,
+    where they are not binary."""
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(0.5, 2.0, (6, 5)))
+    for soft, dtype in ((False, ad.SPIKE_DTYPE), (True, np.float64)):
+        with ad.soft_spike_forward() if soft else contextlib.nullcontext():
+            outs = [ad.surrogate_spike(x), ad.surrogate_spike_below(x, -1.0),
+                    ad.spike_recurrence(x, 3, 1.0, -1.0, 2.0),
+                    ad.spike_recurrence(x.value, 2, repeat=True)]
+        assert [o.value.dtype for o in outs] == [dtype] * 4
+        if not soft:
+            assert set(np.unique(outs[2].value)) == {-1, 0, 1}
+
+
+def test_products_and_sums_of_int8_spikes_are_float64():
+    """A product or a reduction of int8 spikes computes in float64, also
+    where an int8 result would overflow; a sum of two spike tensors stays
+    int8."""
+    s = np.ones((2, 300), ad.SPIKE_DTYPE)
+    for out in (ad.matmul(s, s.T), ad.tsum(s, axis=1)):
+        assert out.value.dtype == np.float64 and np.all(out.value == 300.0)
+    assert (Tensor(s) + Tensor(s)).value.dtype == ad.SPIKE_DTYPE
 
 
 def test_surrogate_alpha_must_be_positive():
@@ -598,6 +626,17 @@ def test_check_finite():
 def test_backward_requires_scalar_without_seed():
     with pytest.raises(ad.ShapeError):
         (Tensor(np.ones(3)) * 2.0).backward()
+
+
+def test_backward_seed_must_have_the_output_shape():
+    a = Tensor(np.arange(6.0).reshape(2, 3))
+    out = a * 2.0
+    for seed in (np.ones((3, 2)), np.ones(6), np.ones((1, 2, 3))):
+        with pytest.raises(ad.ShapeError, match="seed of shape"):
+            out.backward(seed)
+    assert a.grad is None                      # nothing ran or was consumed
+    out.backward(np.arange(6.0).reshape(2, 3))
+    assert np.array_equal(a.grad, 2.0 * np.arange(6.0).reshape(2, 3))
 
 
 def _graph_nodes(out):

@@ -420,9 +420,16 @@ def test_cli_plot_membership_rejects_no_samples(tmp_path, capsys):
     assert not csv_path.exists()
 
 
-def test_manifest_names_the_code(tmp_path):
+def test_manifest_names_the_code(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     cli._write_manifest(tmp_path, parse_config(SMOKE))
     manifest = json.loads((tmp_path / "manifest.json").read_text())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == {"name": blas["name"],
+                                "version": blas["version"]}
+    assert manifest["OPENBLAS_NUM_THREADS"] == "1"
+    assert manifest["OMP_NUM_THREADS"] is None
     src = Path(sfqn.__file__).parent
     digest = hashlib.sha256()
     for name in sorted(p.name for p in src.glob("*.py")):

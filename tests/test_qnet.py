@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sfqn import autodiff as ad
-from sfqn import qnet, snn
+from sfqn import fuzzy, qnet, snn
 from sfqn.checkpoint import CheckpointFormatError, save_records
 from sfqn.qnet import NetworkConfig, QNetwork, count_multiplications
 from test_acceptance import C4_BASE, C4_SHAPES
@@ -246,17 +246,18 @@ def test_backward_frees_the_graph_as_it_walks(monkeypatch):
     """Backward's own peak allocation stays below a quarter of the graph's
     buffers, because each node's saved arrays go once it has passed its
     gradient on; holding them all until the walk ends took about half.
-    The graph holds at least one pre-threshold membrane per spike of the
-    network's populations, which backward reads."""
+    The graph holds at least one float64 pre-threshold membrane per spike
+    of the network's populations (the spikes themselves are int8), which
+    backward reads."""
     net = QNetwork(NetworkConfig(obs_hw=(16, 16)))
     rng = np.random.default_rng(0)
-    bev, lidar = rng.random((8, 1, 16, 16)), rng.random((8, 1, 16, 16))
-    seed = rng.standard_normal((8, qnet.N_ACTIONS))
+    bev, lidar = rng.random((16, 1, 16, 16)), rng.random((16, 1, 16, 16))
+    seed = rng.standard_normal((16, qnet.N_ACTIONS))
     membranes, recurrence = [], ad.spike_recurrence
 
     def counted(*args, **kwargs):
         out = recurrence(*args, **kwargs)
-        membranes.append(out.value.nbytes)
+        membranes.append(out.value.size * 8)
         return out
 
     with monkeypatch.context() as m:
@@ -278,6 +279,99 @@ def test_backward_frees_the_graph_as_it_walks(monkeypatch):
     assert used < graph / 4
     assert all(p.grad is not None for p in net.parameters())
     assert q.parents == () and loss.parents == ()
+
+
+SPIKING = [v for v in qnet.VARIANTS if v != "nonspiking"]
+
+
+def _record_spikes(m, dtypes, widen=False):
+    """Patch every spike producer of a network (`spike_recurrence` and the
+    rate encoder) to add its name and its output's dtype to the set
+    `dtypes`, and with `widen` to turn its spikes into float64 first."""
+    def wrap(producer):
+        def run(*args, **kwargs):
+            out = producer(*args, **kwargs)
+            if widen:
+                out.value = out.value.astype(np.float64)
+            dtypes.add((producer.__name__, out.value.dtype))
+            return out
+        return run
+
+    m.setattr(ad, "spike_recurrence", wrap(ad.spike_recurrence))
+    m.setattr(fuzzy, "rate_encode", wrap(fuzzy.rate_encode))
+
+
+@pytest.mark.parametrize("variant", SPIKING)
+def test_int8_spikes_give_the_bits_of_float64_spikes(monkeypatch, variant):
+    """On the default 32x32, T=5 network at B=8, int8 spikes give Q and
+    every parameter gradient bit for bit as float64 spikes do: each BLAS
+    product reads a float64 copy laid out as the int8 operand is."""
+    rng = np.random.default_rng(4)
+    bev, lidar = rng.random((2, 8, 1, 32, 32))
+    lidar[lidar < 0.9] = 0.0
+    lidar[2] = 0.0                             # a dead sample in m2
+    seed = rng.standard_normal((8, qnet.N_ACTIONS))
+
+    def run(widen):
+        dtypes, net = set(), QNetwork(NetworkConfig(variant=variant))
+        with monkeypatch.context() as m:
+            _record_spikes(m, dtypes, widen)
+            q, _ = net.forward(bev, lidar)
+        ad.tsum(q * seed).backward()
+        assert {d for _, d in dtypes} == {np.dtype(np.float64 if widen
+                                                   else np.int8)}
+        return [q.value] + [p.grad for p in net.parameters()]
+
+    for ours, wide in zip(run(False), run(True), strict=True):
+        assert ours.shape == wide.shape and ours.tobytes() == wide.tobytes()
+
+
+def _saved_arrays(rule, seen):
+    """Arrays a backward rule holds, also through the functions it holds."""
+    for cell in rule.__closure__ or ():
+        v = cell.cell_contents
+        if isinstance(v, np.ndarray):
+            yield v
+        elif callable(v) and id(v) not in seen:
+            seen.add(id(v))
+            yield from _saved_arrays(v, seen)
+
+
+@pytest.mark.parametrize("variant", SPIKING)
+def test_the_graph_saves_spikes_as_int8(monkeypatch, variant):
+    """No backward rule saves a float64 array whose values all lie in
+    {-1, 0, 1} (parameters aside: layer-norm gains start at 1), and every
+    spike producer emits int8, or float64 under `soft_spike_forward`
+    (the rate encoder's Bernoulli spikes are binary there too)."""
+    net = QNetwork(NetworkConfig(variant=variant))
+    bev, lidar = np.random.default_rng(5).random((2, 2, 1, 32, 32))
+    rate = {("rate_encode", np.dtype(np.int8))} if variant == "rate" else set()
+    dtypes = set()
+    with monkeypatch.context() as m:
+        _record_spikes(m, dtypes)
+        q, _ = net.forward(bev, lidar)
+    assert dtypes == {("spike_recurrence", np.dtype(np.int8))} | rate
+    params = {id(p.value) for p in net.parameters()}
+    nodes, stack, seen, saved = set(), [q._node], set(), 0
+    while stack:
+        node = stack.pop()
+        if id(node) in nodes:
+            continue
+        nodes.add(id(node))
+        stack.extend(node.parents)
+        for arr in _saved_arrays(node._backward or (lambda: None), seen):
+            base = arr
+            while base.base is not None:
+                base = base.base
+            saved += arr.dtype == np.int8
+            if arr.dtype == np.float64 and id(base) not in params:
+                assert not np.all(np.isin(arr, (-1.0, 0.0, 1.0))), arr.shape
+    assert saved > 0
+    dtypes.clear()
+    with monkeypatch.context() as m, ad.soft_spike_forward():
+        _record_spikes(m, dtypes)
+        net.forward(bev, lidar)
+    assert dtypes == {("spike_recurrence", np.dtype(np.float64))} | rate
 
 
 # sha256 prefixes of Q for batches of 1 and 3, recorded on the per-step
