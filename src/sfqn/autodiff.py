@@ -5,8 +5,7 @@ int8 (`SPIKE_DTYPE`, one byte per spike and per saved copy of it).  An op
 on spikes alone keeps int8 (a sum of two spike tensors holds small exact
 integers); any other op gives float64, and BLAS products and reductions
 read an int8 operand through a float64 copy in its memory layout, so
-results are bitwise those of float64 spikes.  Spikes under
-`soft_spike_forward` are not binary and stay float64.
+results are bitwise those of float64 spikes.
 
 A `Tensor` holds a value; each Tensor that takes a gradient also has a
 graph node (`_Node`) that holds its gradient, its parents' nodes and its
@@ -82,9 +81,8 @@ class MultCounter:
 
 
 class _Flags:
-    """Process-wide switches set by the `soft_spike_forward`, `no_grad` and
-    `count_mults` context managers."""
-    soft_spike = False
+    """Process-wide switches set by the `no_grad` and `count_mults` context
+    managers."""
     grad = True
     counter: MultCounter | None = None
 
@@ -105,13 +103,6 @@ def no_grad():
     """Ops inside the block record no graph nodes, so the outputs are
     constants, also in later graphs, and no graph is kept alive."""
     return _set_flag("grad", False)
-
-
-def soft_spike_forward():
-    """Spike ops forward the smooth surrogate instead of the hard Heaviside,
-    so finite differences agree with the surrogate backward.  Used only by
-    gradient checks."""
-    return _set_flag("soft_spike", True)
 
 
 def count_mults():
@@ -309,11 +300,6 @@ class Module:
         return list(self.named_parameters().values())
 
 
-def _spike_dtype():
-    """int8, or float64 under `soft_spike_forward` (not binary there)."""
-    return np.float64 if _Flags.soft_spike else SPIKE_DTYPE
-
-
 def _f64(v: np.ndarray) -> np.ndarray:
     """`v` itself if float64, else a float64 copy in `v`'s memory layout, so
     that BLAS reads an int8 operand exactly as it read a float64 one."""
@@ -446,19 +432,17 @@ def maximum(a, b) -> Tensor:
 # reductions / shaping
 # ---------------------------------------------------------------------------
 
-def tsum(a, axis=None, keepdims=False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
-    shape, expand = a.value.shape, axis is not None and not keepdims
-    return _unary(a, a.value.sum(axis=axis, keepdims=keepdims,
-                                 dtype=np.float64),
+    shape = a.value.shape
+    return _unary(a, a.value.sum(axis=axis, dtype=np.float64),
                   lambda g, x, y: np.broadcast_to(
-                      np.expand_dims(g, axis) if expand else g, shape))
+                      g if axis is None else np.expand_dims(g, axis), shape))
 
 
-def tmean(a, axis=None, keepdims=False) -> Tensor:
+def tmean(a) -> Tensor:
     a = as_tensor(a)
-    n = a.value.size if axis is None else a.value.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(tsum(a), 1.0 / a.value.size)
 
 
 def reshape(a, shape) -> Tensor:
@@ -633,11 +617,6 @@ def arctan_surrogate_grad(u: np.ndarray, alpha: float,
     return np.divide(alpha / 2.0, np.add(z, 1.0, out=z), out=z)
 
 
-def arctan_surrogate(u: np.ndarray, alpha: float) -> np.ndarray:
-    """Smooth spike stand-in (1/pi) arctan(pi*alpha*u/2) + 1/2."""
-    return np.arctan(math.pi * alpha * u / 2.0) / math.pi + 0.5
-
-
 def split_steps(shape, t_steps: int) -> tuple[int, ...]:
     """(T*B, ...) -> (T, B, ...): row t*B + b is step t of sample b."""
     if t_steps < 1:
@@ -648,15 +627,11 @@ def split_steps(shape, t_steps: int) -> tuple[int, ...]:
     return (t_steps, shape[0] // t_steps) + tuple(shape[1:])
 
 
-def _fire(v: np.ndarray, theta: float, out: np.ndarray, alpha: float,
+def _fire(v: np.ndarray, theta: float, out: np.ndarray,
           below: bool = False) -> None:
     """Spikes of membrane `v` into `out`: v >= theta (v <= theta if
-    `below`), or the smooth surrogate under `soft_spike_forward`."""
-    if _Flags.soft_spike:
-        np.copyto(out, arctan_surrogate(theta - v if below else v - theta,
-                                        alpha))
-    else:
-        (np.less_equal if below else np.greater_equal)(v, theta, out=out)
+    `below`)."""
+    (np.less_equal if below else np.greater_equal)(v, theta, out=out)
 
 
 def surrogate_spike(u, threshold: float = 1.0, alpha: float = 2.0) -> Tensor:
@@ -664,8 +639,8 @@ def surrogate_spike(u, threshold: float = 1.0, alpha: float = 2.0) -> Tensor:
     if alpha <= 0:
         raise ValueError("surrogate alpha must be positive")
     u = as_tensor(u)
-    out_val = np.empty(u.shape, _spike_dtype())
-    _fire(u.value, threshold, out_val, alpha)
+    out_val = np.empty(u.shape, SPIKE_DTYPE)
+    _fire(u.value, threshold, out_val)
     return _unary(u, out_val, lambda g, x, y: g * arctan_surrogate_grad(
         x - threshold, alpha), u.value)
 
@@ -698,10 +673,9 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
     SPIKE_BLOCK neurons) before the next, and every op writes into the
     output or into block-sized float64 buffers reused across blocks and
     steps; each step's spikes are copied from their buffer into the int8
-    output (float64 under `soft_spike_forward`).  The
-    per-element operations and their order are those of the per-step graph,
-    less its multiplications by a theta_pos of 1, so results are bitwise
-    equal to it.
+    output.  The per-element operations and their order are those of the
+    per-step graph, less its multiplications by a theta_pos of 1, so results
+    are bitwise equal to it.
     """
     if alpha <= 0:
         raise ValueError("surrogate alpha must be positive")
@@ -716,7 +690,7 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
     step = max(1, min(shape[1], SPIKE_BLOCK // max(1, math.prod(shape[2:]))))
     blocks = [slice(b, min(b + step, shape[1]))
               for b in range(0, shape[1], step)]
-    spikes = np.empty(shape, _spike_dtype())
+    spikes = np.empty(shape, SPIKE_DTYPE)
     # membranes before each threshold test, kept only for backward
     keep = _Flags.grad and not x.constant
     pre_pos = np.empty(shape) if keep else None
@@ -732,12 +706,12 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
             else:
                 np.multiply(np.subtract(x_t, v, out=tmp), decay, out=tmp)
                 np.add(v, tmp, out=pre)
-            _fire(pre, theta_pos, s, alpha)
+            _fire(pre, theta_pos, s)
             mid = v if pre_neg is None else pre_neg[t, blk]
             np.subtract(pre, s if unit else np.multiply(s, theta_pos, out=tmp),
                         out=mid)
             if theta_neg is not None:
-                _fire(mid, theta_neg, tmp, alpha, below=True)
+                _fire(mid, theta_neg, tmp, below=True)
                 np.subtract(s, tmp, out=s)
                 np.subtract(mid, np.multiply(tmp, theta_neg, out=tmp), out=v)
             spikes[t, blk] = s
@@ -813,39 +787,3 @@ def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
                             - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
 
     return Tensor(out_val, (nx, ng, nb), backward)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-def grad_check(f: Callable[[Tensor], Tensor], x: np.ndarray,
-               step: float = 1e-3) -> float:
-    """Max relative error between reverse-mode and central finite differences.
-
-    `f` maps a Tensor to a scalar Tensor.  Where the analytic path goes
-    through surrogate spikes, this checks against the surrogate derivative
-    (the graph's own backward), which is the documented contract.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    xt = Tensor(x.copy())
-    out = f(xt)
-    out.check_finite()
-    out.backward()
-    analytic = xt.grad.copy()
-
-    numeric = np.zeros_like(x)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = float(f(Tensor(x.copy())).value)
-        flat[i] = orig - step
-        fm = float(f(Tensor(x.copy())).value)
-        flat[i] = orig
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise NumericError("non-finite output during finite differencing")
-        numeric.reshape(-1)[i] = (fp - fm) / (2 * step)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
-    return float(np.max(np.abs(analytic - numeric) / denom))

@@ -233,8 +233,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (ConfigError, CheckpointFormatError, FileNotFoundError,
-            KeyError, ValueError) as err:
+    except (ConfigError, CheckpointFormatError, OSError, KeyError,
+            ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

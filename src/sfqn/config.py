@@ -5,7 +5,7 @@ an error, `#` starts a comment.  parse -> serialize -> parse is the
 identity.  Apart from `variant`, `seeds` and `output_dir`, the keys are the
 fields of `TrainConfig`, `NetworkConfig` and `HighwayConfig` that the
 experiment does not derive itself, and values those configs reject, empty
-list entries and negative seeds are a `ConfigError`.
+list entries and negative or repeated seeds are a `ConfigError`.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ class _Experiment:
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError(f"seeds must be one or more non-negative "
                               f"integers, got {self.seeds}")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"seeds repeat {repeated}: each seed trains "
+                              f"once, got {self.seeds}")
         try:       # surface what the components reject; the environment
             self.env_config()    # first, so a bad grid_size names its key
             self.network_config(0)

@@ -46,10 +46,16 @@ class MembershipBank(ad.Module):
             raise ValueError(f"unknown membership kind {kind!r}")
         self.kind = kind
         self.n = n
+        if params is None:
+            tri = spread_triangles(n)
+            params = tri if kind == TRIANGULAR else np.stack(
+                [tri[:, 1], (tri[:, 2] - tri[:, 0]) / 4.0], axis=1)
+        params = np.asarray(params, dtype=np.float64)
+        shape = (n, 3 if kind == TRIANGULAR else 2)  # (a, b, c) or (mean, sigma)
+        if params.shape != shape:
+            raise ValueError(f"{kind} bank of {n} needs params of shape "
+                             f"{shape}, got {params.shape}")
         if kind == TRIANGULAR:
-            if params is None:
-                params = spread_triangles(n)
-            params = np.asarray(params, dtype=np.float64)
             a, b, c = params[:, 0], params[:, 1], params[:, 2]
             if not (np.all(a < b) and np.all(b < c)):
                 raise ValueError("triangular bank requires a < b < c")
@@ -57,11 +63,6 @@ class MembershipBank(ad.Module):
             self._log_ab = Tensor(np.log(b - a), name="memb_log_ab")
             self._log_bc = Tensor(np.log(c - b), name="memb_log_bc")
         else:
-            if params is None:
-                tri = spread_triangles(n)
-                params = np.stack([tri[:, 1], (tri[:, 2] - tri[:, 0]) / 4.0],
-                                  axis=1)
-            params = np.asarray(params, dtype=np.float64)
             if not np.all(params[:, 1] > 0):
                 raise ValueError("gaussian bank requires sigma > 0")
             self._mean = Tensor(params[:, 0], name="memb_mean")
@@ -180,29 +181,3 @@ class NeuralDecoder(ad.Module):
         h = ad.relu(lam @ self.w1 + self.b1)
         return h @ self.w2 + self.b2
 
-
-def centroid_positions(m: int) -> np.ndarray:
-    """Fixed uniform defuzzification grid on [-1, 1]."""
-    if m == 1:
-        return np.zeros(1)
-    return np.linspace(-1.0, 1.0, m)
-
-
-def decode_centroid(lam, positions) -> np.ndarray:
-    """Discrete centroid defuzzification per action.
-
-    `lam` has shape (A, M) or flat (A*M,) with per-action blocks; an action
-    with zero total mass decodes to the midpoint of the position grid.
-    """
-    positions = np.asarray(positions, dtype=np.float64)
-    if np.any(np.diff(positions) <= 0) and positions.size > 1:
-        raise ValueError("positions must be strictly increasing")
-    lam = np.asarray(lam.value if isinstance(lam, Tensor) else lam,
-                     dtype=np.float64)
-    if lam.ndim == 1:
-        lam = lam.reshape(-1, positions.size)
-    mass = lam.sum(axis=-1)
-    midpoint = 0.5 * (positions[0] + positions[-1])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        q = (lam * positions).sum(axis=-1) / mass
-    return np.where(mass == 0.0, midpoint, q)

@@ -135,8 +135,10 @@ class HighwayEnv:
         cfg = self.cfg
         if self._done:
             raise EpisodeOver("episode is terminal; call reset()")
-        if action not in range(5):
-            raise ValueError(f"invalid action {action}")
+        if (isinstance(action, bool)
+                or not isinstance(action, (int, np.integer))
+                or action not in range(5)):
+            raise ValueError(f"invalid action {action!r}: an integer in 0..4")
 
         if action == FASTER:
             self.ego_speed = min(self.ego_speed + cfg.dv, cfg.v_max)

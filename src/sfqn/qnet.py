@@ -140,9 +140,8 @@ def load_parameters(params: dict[str, Tensor], records: dict,
 
 @dataclass
 class QVector:
-    """Action values plus the population activations they were decoded from."""
+    """Action values of one observation."""
     q: np.ndarray
-    lam: np.ndarray | None = None
 
 
 class QNetwork:
@@ -305,9 +304,8 @@ class QNetwork:
         bev = np.asarray(obs["bev"])[None]
         lidar = np.asarray(obs["lidar_grid"])[None]
         with ad.no_grad():
-            q, lam = self.forward(bev, lidar)
-        return QVector(q.value[0].copy(),
-                       None if lam is None else lam.value[0].copy())
+            q, _ = self.forward(bev, lidar)
+        return QVector(q.value[0].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -99,25 +99,6 @@ class Embedding(ad.Module):
         return self.neuron.step(cur)
 
 
-def ternary_scores_addonly(q: np.ndarray, k: np.ndarray):
-    """Attention scores Q K^T computed with additions only.
-
-    Entries of q (n,d) and k (m,d) must lie in {-1,0,+1}; returns the raw
-    integer score matrix and the number of multiplications used (always 0).
-    Reference path for the energy argument; tests compare it to the float
-    matmul result.
-    """
-    for arr in (q, k):
-        if not np.all(np.isin(arr, (-1.0, 0.0, 1.0))):
-            raise ValueError("ternary score path requires entries in {-1,0,1}")
-    # score = #(matching nonzero signs) - #(opposite signs), per (i, j)
-    qe, ke = q[:, None, :], k[None, :, :]
-    nonzero = qe != 0.0
-    same = np.sum((qe == ke) & nonzero, axis=-1)
-    opposite = np.sum((qe == -ke) & nonzero, axis=-1)
-    return (same - opposite).astype(np.float64), 0
-
-
 class CrossFusionLayer(ad.Module):
     """Bidirectional spiking cross-attention between two token streams.
 

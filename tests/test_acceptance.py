@@ -14,13 +14,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (centroid_positions, decode_centroid, grad_check,
+                     soft_spikes)
 from sfqn import autodiff as ad
 from sfqn.analysis import capacity
 from sfqn.autodiff import Tensor
 from sfqn.cli import main
 from sfqn.config import ExperimentConfig
-from sfqn.fuzzy import (MembershipBank, NeuralDecoder, centroid_positions,
-                        decode_centroid, if_spike_train, membership_eval)
+from sfqn.fuzzy import (MembershipBank, NeuralDecoder, if_spike_train,
+                        membership_eval)
 from sfqn.highway import IDLE, HighwayConfig, HighwayEnv, VehicleState
 from sfqn.qnet import NetworkConfig, QNetwork, count_multiplications
 from sfqn.snn import Neuron
@@ -139,17 +141,17 @@ def test_criterion_5_gradient_suite():
 
     base = MembershipBank("triangular", 3, WORKED_BANK)
     free0 = np.concatenate([t.value for t in base.parameters()])
-    assert ad.grad_check(memb_loss, free0) < 1e-3
+    assert grad_check(memb_loss, free0) < 1e-3
 
     # conv kernels
     x = rng.random((2, 5, 5))
-    assert ad.grad_check(
+    assert grad_check(
         lambda k: ad.tsum(ad.conv2d(Tensor(x), k, 1, 1)),
         rng.standard_normal((3, 2, 3, 3))) < 1e-3
 
     # fully connected weights (through a ReLU, away from the kink)
     inp = rng.standard_normal((4, 6)) + 0.3
-    assert ad.grad_check(
+    assert grad_check(
         lambda w: ad.tsum(ad.relu(Tensor(inp) @ w + 0.05)),
         rng.standard_normal((6, 3))) < 1e-3
 
@@ -162,7 +164,7 @@ def test_criterion_5_gradient_suite():
         q = h @ dec.w2 + dec.b2
         return ad.tsum(q * q)
 
-    assert ad.grad_check(dec_loss, dec.w1.value.copy()) < 1e-3
+    assert grad_check(dec_loss, dec.w1.value.copy()) < 1e-3
 
     # surrogate spikes on a 2-layer toy over T=2 steps, one multi-step call
     # per layer, so the fused recurrence's backpropagation through time is
@@ -175,8 +177,8 @@ def test_criterion_5_gradient_suite():
         x = Tensor(np.concatenate([spikes_in] * 2))     # same input each step
         return ad.tsum(n2.step(n1.step(x @ w1) @ Tensor(w2)))
 
-    with ad.soft_spike_forward():
-        assert ad.grad_check(toy_loss, rng.standard_normal((6, 4))) < 1e-3
+    with soft_spikes():
+        assert grad_check(toy_loss, rng.standard_normal((6, 4))) < 1e-3
     _ok(5, "FD checks pass at 1e-3 for membership/conv/FC/decoder/surrogate")
 
 

@@ -243,6 +243,15 @@ def test_config_negative_seed_rejected():
         parse_config("seeds = 0,-1\n")
 
 
+@pytest.mark.parametrize("seeds", ["0,0", "3,1,3", "2,5,2,5"])
+def test_config_repeated_seed_rejected(seeds):
+    # a seed listed twice would train twice into the same checkpoint names
+    # and the same metrics rows
+    first = seeds.split(",")[0]
+    with pytest.raises(ConfigError, match=rf"seeds repeat \[{first}"):
+        parse_config(f"seeds = {seeds}\n")
+
+
 FLOAT_KEYS = [f.name for f in fields(ExperimentConfig)
               if f.type in ("float", float)]
 
@@ -516,3 +525,16 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     not_ckpt.write_bytes(b"JUNKJUNKJUNK")
     assert main(["plot-membership", "--checkpoint", str(not_ckpt)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_reports_an_unreadable_path_as_an_error(tmp_path, capsys):
+    # a directory where a file is expected is an error line, not a traceback
+    cfg_path = smoke_cfg_file(tmp_path)
+    for argv in (["eval", "--config", str(tmp_path), "--checkpoint",
+                  str(tmp_path)],
+                 ["eval", "--config", str(cfg_path), "--checkpoint",
+                  str(tmp_path)],
+                 ["plot-membership", "--checkpoint", str(tmp_path)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err

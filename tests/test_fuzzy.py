@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (centroid_positions, decode_centroid, grad_check,
+                     soft_spikes)
 from sfqn import autodiff as ad
 from sfqn import fuzzy
 from sfqn.autodiff import Tensor
 from sfqn.fuzzy import (MembershipBank, NeuralDecoder, accumulate_population,
-                        centroid_positions, decode_centroid, fuzzy_encode,
-                        if_spike_train,
-                        membership_eval, rate_encode, spread_triangles)
+                        fuzzy_encode, if_spike_train, membership_eval,
+                        rate_encode, spread_triangles)
 
 WORKED_BANK = np.array([(0.0, 0.2, 0.4), (0.3, 0.5, 0.7), (0.6, 0.8, 1.0)])
 
@@ -49,6 +50,20 @@ def test_bank_ordering_enforced():
                                                   (0.3, 0.5, 0.7)]))
     with pytest.raises(ValueError):
         MembershipBank("gaussian", 1, np.array([(0.5, 0.0)]))
+
+
+@pytest.mark.parametrize("kind,n,params", [
+    ("triangular", 2, WORKED_BANK),                  # 3 rows for 2 functions
+    ("triangular", 3, WORKED_BANK[:, :2]),           # 2 columns
+    ("triangular", 3, WORKED_BANK.ravel()),          # flat
+    ("gaussian", 3, WORKED_BANK),                    # a third column
+    ("gaussian", 2, np.array([0.3, 0.1])),           # one row, flat
+])
+def test_bank_params_must_have_the_shape_of_their_kind(kind, n, params):
+    # triangular (a, b, c) rows, Gaussian (mean, sigma) rows, one per function
+    width = 3 if kind == "triangular" else 2
+    with pytest.raises(ValueError, match=rf"shape \({n}, {width}\)"):
+        MembershipBank(kind, n, params)
 
 
 def test_gaussian_membership_formula():
@@ -93,7 +108,7 @@ def test_membership_gradients_match_fd_away_from_kinks():
         mu = membership_eval(bank, points)
         return ad.tsum(mu * mu)
 
-    err = ad.grad_check(loss, free0)
+    err = grad_check(loss, free0)
     assert err < 1e-3
 
 
@@ -155,7 +170,7 @@ def test_if_train_reads_one_drive_bitwise(monkeypatch, t, soft, block):
     d = np.ascontiguousarray(d.transpose(2, 1, 0)).transpose(2, 1, 0)
     assert not d.flags.c_contiguous
     seed = rng.standard_normal((t * 3, 2, 2))
-    with ad.soft_spike_forward() if soft else contextlib.nullcontext():
+    with soft_spikes() if soft else contextlib.nullcontext():
         drive, copied = Tensor(d), Tensor(d)
         out = if_spike_train(drive, t)
         out.backward(seed)

@@ -161,6 +161,18 @@ def test_invalid_action_rejected():
         env.step(9)
 
 
+@pytest.mark.parametrize("action", [2.0, np.float64(3.0), True, np.bool_(1),
+                                    "1", None])
+def test_step_rejects_an_action_that_is_not_an_integer(action):
+    # 2.0, 3.0 and True would otherwise act as RIGHT, FASTER and IDLE
+    env = HighwayEnv(HighwayConfig(n_vehicles=0))
+    env.reset(seed=0)
+    with pytest.raises(ValueError, match="invalid action"):
+        env.step(action)
+    for ok in (RIGHT, np.int64(FASTER), np.int8(IDLE)):
+        env.step(ok)
+
+
 def test_trajectory_determinism():
     actions = [FASTER, IDLE, LEFT, IDLE, RIGHT, SLOWER, IDLE, FASTER] * 5
 

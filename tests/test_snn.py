@@ -3,10 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import grad_check, soft_spikes, ternary_scores_addonly
 from sfqn import autodiff as ad
 from sfqn.autodiff import Tensor
 from sfqn.snn import (ConvLifBlock, CrossFusionLayer, Embedding, FcLifHead,
-                      Neuron, ternary_scores_addonly)
+                      Neuron)
 
 BIN = Neuron(kind="lif", tau_m=2.0, theta_pos=1.0)
 
@@ -225,8 +226,8 @@ def test_surrogate_differentiability_two_layer_toy():
         n1, n2 = _steps(2), _steps(2)
         return ad.tsum(n2.step(n1.step(_repeat(x, 2) @ w1) @ Tensor(w2)))
 
-    with ad.soft_spike_forward():
-        err = ad.grad_check(loss, rng.standard_normal((6, 4)))
+    with soft_spikes():
+        err = grad_check(loss, rng.standard_normal((6, 4)))
     assert err < 1e-3
 
     # and the hard-forward gradient is finite

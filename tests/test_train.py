@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from sfqn import autodiff as ad
 from sfqn import train
 from sfqn.autodiff import Tensor
 from sfqn.config import ABLATION_MATRIX, parse_config
@@ -170,7 +171,9 @@ def test_train_step_leaves_target_untouched_and_updates_membership():
     for i in range(4):
         obs = rand_obs(i)
         # the probe only works if the spiking path is active for this input
-        assert np.abs(net.q_values(obs).lam).max() > 0.0
+        with ad.no_grad():
+            _, lam = net.forward(obs["bev"][None], obs["lidar_grid"][None])
+        assert np.abs(lam.value[0]).max() > 0.0
         buf.push(Transition(obs, i % 5, 1.0, rand_obs(i + 1), False))
     cfg = TrainConfig(batch=4, lr=1e-2)
     opt = Adam(net.parameters(), lr=cfg.lr)
