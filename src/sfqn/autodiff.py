@@ -38,6 +38,7 @@ operation.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -522,13 +523,29 @@ def conv2d_extents(h: int, w: int, l: int, stride: int, padding: int):
     return h_out, w_out
 
 
+@functools.lru_cache(maxsize=None)
+def _patch_index(c: int, h: int, w: int, l: int, stride: int,
+                 padding: int) -> np.ndarray:
+    """`conv2d`'s patch-index map of one geometry, built once, read-only."""
+    h_out, w_out = conv2d_extents(h, w, l, stride, padding)
+    taps = np.arange(l)[:, None]
+    r = (stride * np.arange(h_out) + taps - padding)[:, None, :, None]
+    q = (stride * np.arange(w_out) + taps - padding)[None, :, None, :]
+    cell = np.arange(c)[:, None, None, None, None] * (h * w) + r * w + q
+    inside = (r >= 0) & (r < h) & (q >= 0) & (q < w)
+    idx = np.where(inside, cell, c * h * w).reshape(c * l * l, h_out * w_out)
+    idx.flags.writeable = False
+    return idx
+
+
 def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation with zero padding, as im2col + GEMM.
 
     `x` is (C,H,W) or batched (B,C,H,W); `kernels` is (C_out,C,l,l).  One
-    patch-index map sends patch entry (c*l*l + i*l + j, oh*Wo + ow) to the
-    flat index of x[c, oh*s+i-p, ow*s+j-p] in its sample, or, for a tap in
-    the padding, to a zero slot after the sample's C*H*W values.  Forward
+    patch-index map per geometry sends patch entry (c*l*l + i*l + j,
+    oh*Wo + ow) to the flat index of x[c, oh*s+i-p, ow*s+j-p] in its
+    sample, or, for a tap in the padding, to a zero slot after the sample's
+    C*H*W values.  Forward
     gathers the patch matrix along it with `np.take`, only for the live
     samples (those with a nonzero or NaN input), and runs one GEMM per live
     sample; a dead sample's output is exact zeros.  The zero-padded slots and
@@ -551,12 +568,7 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
                          f"or do not match the {c} input channels")
     h_out, w_out = conv2d_extents(h, w, l, stride, padding)
 
-    taps = np.arange(l)[:, None]
-    r = (stride * np.arange(h_out) + taps - padding)[:, None, :, None]
-    q = (stride * np.arange(w_out) + taps - padding)[None, :, None, :]
-    cell = np.arange(c)[:, None, None, None, None] * (h * w) + r * w + q
-    inside = (r >= 0) & (r < h) & (q >= 0) & (q < w)
-    idx = np.where(inside, cell, c * h * w).reshape(c * l * l, h_out * w_out)
+    idx = _patch_index(c, h, w, l, stride, padding)
     rows = x.value.reshape(b, c * h * w)
     live = np.flatnonzero(rows.any(axis=1))       # NaN counts as nonzero
     dense = live.size == b
@@ -664,83 +676,102 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
     a spike fires at v >= theta_pos and subtracts theta_pos.  With
     `theta_neg`, the reset membrane then emits -1 at v <= theta_neg and
     subtracts theta_neg.  This is the per-step graph of `surrogate_spike`
-    and `surrogate_spike_below` fused into one node: forward keeps only the
-    pre-threshold membranes (none if `x` takes no gradient), and backward runs
+    and `surrogate_spike_below` fused into one node, whose backward runs
     backpropagation through time with the arctangent surrogate derivative,
     reset path included.
 
-    Both directions run all T steps over one block of whole samples (about
-    SPIKE_BLOCK neurons) before the next, and every op writes into the
-    output or into block-sized float64 buffers reused across blocks and
-    steps; each step's spikes are copied from their buffer into the int8
-    output.  The per-element operations and their order are those of the
-    per-step graph, less its multiplications by a theta_pos of 1, so results
-    are bitwise equal to it.
+    One inner loop runs all T steps over one block of whole samples (about
+    SPIKE_BLOCK neurons) before the next, writing into the output or into
+    block-sized float64 buffers reused across blocks and steps.  Forward
+    runs it for the spikes.  The node keeps the pre-threshold membranes,
+    or under `repeat` only the drive, from which backward reruns the loop
+    to rebuild one block's membranes into a (T, block) buffer; it keeps
+    nothing, and builds no backward rule, if `x` takes no gradient.
+    Backward rebuilds each reset membrane from its pre-threshold one by the
+    forward's fire and subtract.  The per-element operations and their
+    order are those of the per-step graph, less its multiplications by a
+    theta_pos of 1, so results are bitwise equal to it.
     """
     if alpha <= 0:
         raise ValueError("surrogate alpha must be positive")
     x = as_tensor(x)
     shape = split_steps((t_steps * x.shape[0],) + x.shape[1:]
                         if repeat and x.shape else x.shape, t_steps)
-    # both are views, also of a non-contiguous input
-    xs = np.broadcast_to(x.value, shape) if repeat else x.value.reshape(shape)
     decay = None if tau is None else 1.0 / tau
     unit = theta_pos == 1.0
     # blocks of whole samples, `step` samples (about SPIKE_BLOCK neurons) each
     step = max(1, min(shape[1], SPIKE_BLOCK // max(1, math.prod(shape[2:]))))
     blocks = [slice(b, min(b + step, shape[1]))
               for b in range(0, shape[1], step)]
-    spikes = np.empty(shape, SPIKE_DTYPE)
-    # membranes before each threshold test, kept only for backward
-    keep = _Flags.grad and not x.constant
-    pre_pos = np.empty(shape) if keep else None
-    pre_neg = np.empty(shape) if keep and theta_neg is not None else None
-    bufs = np.empty((3, step) + shape[2:])
-    for blk in blocks:
-        v, tmp, s = bufs[:, :blk.stop - blk.start]
+
+    def run(xb, v, tmp, s, pres=None, out=None):
+        """All T steps of one block of n samples from (T, n, ...) input `xb`
+        into (n, ...) buffers; membranes to `pres`, spikes to `out`, if set."""
         v.fill(0.0)
-        for t, x_t in enumerate(xs[:, blk]):
-            pre = v if pre_pos is None else pre_pos[t, blk]
+        for t, x_t in enumerate(xb):
+            pre = v if pres is None else pres[t]
             if decay is None:
                 np.add(v, x_t, out=pre)
             else:
                 np.multiply(np.subtract(x_t, v, out=tmp), decay, out=tmp)
                 np.add(v, tmp, out=pre)
             _fire(pre, theta_pos, s)
-            mid = v if pre_neg is None else pre_neg[t, blk]
             np.subtract(pre, s if unit else np.multiply(s, theta_pos, out=tmp),
-                        out=mid)
+                        out=v)
             if theta_neg is not None:
-                _fire(mid, theta_neg, tmp, below=True)
+                _fire(v, theta_neg, tmp, below=True)
                 np.subtract(s, tmp, out=s)
-                np.subtract(mid, np.multiply(tmp, theta_neg, out=tmp), out=v)
-            spikes[t, blk] = s
+                np.subtract(v, np.multiply(tmp, theta_neg, out=tmp), out=v)
+            if out is not None:
+                out[t] = s
 
+    # both are views, also of a non-contiguous input
+    xs = np.broadcast_to(x.value, shape) if repeat else x.value.reshape(shape)
+    spikes = np.empty(shape, SPIKE_DTYPE)
+    nx = _grad_node(x)
+    pre_pos = None if nx is None or repeat else np.empty(shape)
+    bufs = np.empty((3, step) + shape[2:])
+    for blk in blocks:
+        run(xs[:, blk], *bufs[:, :blk.stop - blk.start],
+            None if pre_pos is None else pre_pos[:, blk], spikes[:, blk])
+    spikes = spikes.reshape((-1,) + shape[2:])
+    if nx is None:
+        return Tensor(spikes, constant=True)
     x_shape = x.value.shape
 
-    def grad(g, pre_pos, pre_neg):
+    def grad(g, saved, _):
+        # `saved` is the drive under `repeat`, else the membranes
         g = g.reshape(shape)
         dx = np.empty(x_shape if repeat else shape)
-        bufs = np.empty((3, step) + shape[2:])
-        # under `repeat` each step's input gradient waits in a block buffer
-        steps = np.empty((t_steps, step) + shape[2:]) if repeat else None
+        bufs = np.empty((4, step) + shape[2:])
+        rebuilt = np.empty((t_steps, step) + shape[2:]) if repeat else None
         for blk in blocks:
             n = blk.stop - blk.start
-            dv, ds, tmp = bufs[:, :n]
-            dxs = dx[:, blk] if steps is None else steps[:, :n]
+            dv, ds, tmp, mid = bufs[:, :n]
+            if repeat:
+                # each step's input gradient then overwrites that step's
+                # rebuilt membrane, which backward has read for the last time
+                pres = dxs = rebuilt[:, :n]
+                run(np.broadcast_to(saved, shape)[:, blk], dv, ds, tmp, pres)
+            else:
+                pres, dxs = saved[:, blk], dx[:, blk]
             dv.fill(0.0)               # dL/d(membrane after step t)
             for t in reversed(range(t_steps)):
                 if theta_neg is not None:
+                    _fire(pres[t], theta_pos, mid)          # the reset membrane
+                    np.subtract(pres[t], mid if unit
+                                else np.multiply(mid, theta_pos, out=mid),
+                                out=mid)
                     np.subtract(np.negative(g[t, blk], out=ds),
                                 np.multiply(dv, theta_neg, out=tmp), out=ds)
-                    np.subtract(theta_neg, pre_neg[t, blk], out=tmp)
+                    np.subtract(theta_neg, mid, out=tmp)
                     np.multiply(ds, arctan_surrogate_grad(tmp, alpha, tmp),
                                 out=ds)
                     np.subtract(dv, ds, out=dv)
                 np.subtract(g[t, blk],
                             dv if unit else np.multiply(dv, theta_pos, out=tmp),
                             out=ds)
-                np.subtract(pre_pos[t, blk], theta_pos, out=tmp)
+                np.subtract(pres[t], theta_pos, out=tmp)
                 np.multiply(ds, arctan_surrogate_grad(tmp, alpha, tmp), out=ds)
                 np.add(dv, ds, out=dv)
                 if decay is None:
@@ -748,13 +779,13 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
                 else:
                     np.multiply(dv, decay, out=dxs[t])
                     np.subtract(dv, dxs[t], out=dv)
-            if steps is not None:
+            if repeat:
                 np.copyto(dx[blk], dxs[0])
                 for d in dxs[1:]:
                     np.add(dx[blk], d, out=dx[blk])
         return dx.reshape(x_shape)
 
-    return _unary(x, spikes.reshape((-1,) + shape[2:]), grad, pre_pos, pre_neg)
+    return _unary(x, spikes, grad, x.value if repeat else pre_pos)
 
 
 # ---------------------------------------------------------------------------

@@ -347,23 +347,28 @@ def _per_step_reference(xs, theta_pos, theta_neg, tau, alpha):
     return spikes
 
 
-def _check_against_per_step_graph(x, t, b, kind, soft, seed):
+def _check_against_per_step_graph(x, t, b, kind, soft, seed, repeat=False):
     """Fused spikes equal the per-step graph's (bitwise for hard spikes),
     the input gradient agrees within 1e-12, and a `no_grad` forward gives
-    bitwise the graph-mode spikes."""
+    bitwise the graph-mode spikes.  With `repeat`, `x` is one (b, ...)
+    drive, and the reference feeds the same leaf to every step."""
     theta_pos, theta_neg, tau = NEURON_KINDS[kind]
     with soft_spikes() if soft else contextlib.nullcontext():
-        leaves = [Tensor(x[i * b:(i + 1) * b]) for i in range(t)]
+        leaves = ([Tensor(x)] * t if repeat
+                  else [Tensor(x[i * b:(i + 1) * b]) for i in range(t)])
         ref = _per_step_reference(leaves, theta_pos, theta_neg, tau, 2.0)
         ad.tsum(ad.concat(ref, axis=0) * seed).backward()
         fused_in = Tensor(x)
-        fused = ad.spike_recurrence(fused_in, t, theta_pos, theta_neg, tau, 2.0)
+        fused = ad.spike_recurrence(fused_in, t, theta_pos, theta_neg, tau, 2.0,
+                                    repeat)
         ad.tsum(fused * seed).backward()
         with ad.no_grad():
-            inferred = ad.spike_recurrence(x, t, theta_pos, theta_neg, tau, 2.0)
+            inferred = ad.spike_recurrence(x, t, theta_pos, theta_neg, tau, 2.0,
+                                           repeat)
     assert np.array_equal(inferred.value, fused.value)
     ref_out = np.concatenate([s.value for s in ref])
-    ref_grad = np.concatenate([leaf.grad for leaf in leaves])
+    ref_grad = (leaves[0].grad if repeat
+                else np.concatenate([leaf.grad for leaf in leaves]))
     if soft:
         assert np.allclose(fused.value, ref_out, rtol=0, atol=1e-12)
     else:
@@ -403,15 +408,53 @@ def test_spike_recurrence_blocks_match_per_step_graph(monkeypatch, block, kind,
                                   rng.standard_normal(x.shape))
 
 
+@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("t", [1, 2, 5])
+@pytest.mark.parametrize("kind", list(NEURON_KINDS))
+def test_spike_recurrence_repeat_matches_per_step_graph(kind, t, b, soft):
+    # backward rebuilds the membranes from the drive
+    rng = np.random.default_rng(t * 10 + b)
+    x = rng.normal(0.5, 6.0, (b, 2, 3))
+    _check_against_per_step_graph(x, t, b, kind, soft,
+                                  rng.standard_normal((t * b, 2, 3)), True)
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("kind", list(NEURON_KINDS))
+@pytest.mark.parametrize("block", [6, 12])
+def test_spike_recurrence_repeat_blocks_match_per_step_graph(
+        monkeypatch, block, kind, soft, transposed):
+    # 6 neurons per sample: blocks of 1 sample, or of 2, 2 and a remainder 1
+    monkeypatch.setattr(ad, "SPIKE_BLOCK", block)
+    t, b = 3, 5
+    rng = np.random.default_rng(block)
+    x = rng.normal(0.5, 6.0, (b, 2, 3))
+    if transposed:              # same values, not C-contiguous
+        x = np.ascontiguousarray(x.transpose(2, 1, 0)).transpose(2, 1, 0)
+        assert not x.flags.c_contiguous
+    _check_against_per_step_graph(x, t, b, kind, soft,
+                                  rng.standard_normal((t * b, 2, 3)), True)
+
+
 def test_spike_recurrence_allocates_no_full_size_temporaries():
-    # numpy reports its buffers to tracemalloc.  Each full-size array is
-    # 4 MiB; the slack allows a few block buffers but not one more array.
+    # numpy reports its buffers to tracemalloc.  Each full-size float64
+    # array is 4 MiB and the int8 spikes are an eighth of that; the slack
+    # allows a few block buffers but not one more full-size array.  A node
+    # keeps one full-size float64 array, its pre-threshold membranes (a
+    # ternary node too: backward rebuilds its reset membranes), and a
+    # repeated drive keeps none beyond the drive.  Backward allocates the
+    # input gradient and block buffers, with a repeated drive also the
+    # (T, block) buffer its membranes are rebuilt into.
     t, b = 4, 16
     rng = np.random.default_rng(0)
     x = rng.normal(0.5, 3.0, (t * b, 32, 16, 16))
     x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
     seed = np.ones(x.shape)
-    full, slack = x.nbytes, 8 * 8 * ad.SPIKE_BLOCK
+    block = 8 * ad.SPIKE_BLOCK
+    full, slack = x.nbytes, 8 * block
+    spikes = full // 8
     assert slack < full
 
     def peak(run):
@@ -422,20 +465,23 @@ def test_spike_recurrence_allocates_no_full_size_temporaries():
 
     tracemalloc.start()
     try:
-        for kind in ("binary", "ternary", "if"):
+        for kind in ("binary", "ternary", "if", "ternary_1.3"):
             theta_pos, theta_neg, tau = NEURON_KINDS[kind]
-            saved = 1 if theta_neg is None else 2     # pre_pos (+ pre_neg)
-            with ad.no_grad():
-                used, _ = peak(lambda: ad.spike_recurrence(
-                    x, t, theta_pos, theta_neg, tau))
-            assert used <= full + slack, kind
-            xt = Tensor(x)
-            used, out = peak(lambda: ad.spike_recurrence(
-                xt, t, theta_pos, theta_neg, tau))
-            assert used <= (1 + saved) * full + slack, kind
-            used, _ = peak(lambda: out.backward(seed))
-            assert used <= full + slack, kind          # dx only
-            del out, xt
+            for repeat in (False, True):
+                drive = x[:b] if repeat else x
+                saved = 0 if repeat else full        # pre_pos
+                with ad.no_grad():
+                    used, _ = peak(lambda: ad.spike_recurrence(
+                        drive, t, theta_pos, theta_neg, tau, repeat=repeat))
+                assert used <= spikes + slack, (kind, repeat)
+                xt = Tensor(drive)
+                used, out = peak(lambda: ad.spike_recurrence(
+                    xt, t, theta_pos, theta_neg, tau, repeat=repeat))
+                assert used <= spikes + saved + slack, (kind, repeat)
+                used, _ = peak(lambda: out.backward(seed))
+                rebuilt = t * block if repeat else 0
+                assert used <= drive.nbytes + rebuilt + slack, (kind, repeat)
+                del out, xt
     finally:
         tracemalloc.stop()
 

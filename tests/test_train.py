@@ -63,6 +63,14 @@ def test_transition_rejects_non_integral_action():
             Transition(obs, action, 0.0, obs, False)
 
 
+@pytest.mark.parametrize("action", [True, False])
+def test_transition_rejects_a_bool_action(action):
+    # bool is an int subclass; True would be stored as action 1
+    obs = rand_obs()
+    with pytest.raises(ValueError, match="not an integer"):
+        Transition(obs, action, 0.0, obs, False)
+
+
 def test_transition_action_bound_is_n_actions():
     obs = rand_obs()
     Transition(obs, N_ACTIONS - 1, 0.0, obs, False)
