@@ -545,10 +545,9 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
     patch-index map per geometry sends patch entry (c*l*l + i*l + j,
     oh*Wo + ow) to the flat index of x[c, oh*s+i-p, ow*s+j-p] in its
     sample, or, for a tap in the padding, to a zero slot after the sample's
-    C*H*W values.  Forward
-    gathers the patch matrix along it with `np.take`, only for the live
-    samples (those with a nonzero or NaN input), and runs one GEMM per live
-    sample; a dead sample's output is exact zeros.  The zero-padded slots and
+    C*H*W values.  Forward gathers the patch matrix along it with `np.take`,
+    only for the live samples (those with a nonzero or NaN input), and runs
+    one GEMM per live sample; a dead sample's output is exact zeros.  The zero-padded slots and
     the patches keep the input's dtype, so the patches of spikes that the
     kernel gradient reads are int8.  The multiplication count
     is that of the dense operation.  Backward computes the kernel gradient
