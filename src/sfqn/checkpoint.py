@@ -1,63 +1,44 @@
-"""Binary checkpoint records.
+"""Checkpoints: a zip of one `<name>.npy` member (NEP 1) per float64 record,
+in insertion order, which `np.load` reads too. Each member has a CRC-32 and
+the zip comment holds the record count, so a cut or corrupted file raises."""
 
-File layout: magic b"SFQN", u16 version (=1), then a sequence of records
-  [u16 name length][name bytes (utf-8)][u8 rank][u32 dims ...]
-  [little-endian IEEE-754 32-bit values, row-major]
-"""
-
-from __future__ import annotations
-
-import math
+import io
 import os
-import struct
+import zipfile
 from pathlib import Path
 
 import numpy as np
-
-MAGIC = b"SFQN"
-VERSION = 1
 
 
 class CheckpointFormatError(ValueError):
     pass
 
 
-def _encode(name: str, arr) -> bytes:
-    """One record's bytes; `CheckpointFormatError` unless the layout can
-    hold it: rank <= 4, a name of at most 65535 utf-8 bytes, dims below
-    2**32 and finite values within float32 range."""
-    encoded = name.encode("utf-8")
-    if len(encoded) > 0xFFFF:
-        raise CheckpointFormatError(
-            f"record name of {len(encoded)} bytes exceeds 65535")
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim > 4:
-        raise CheckpointFormatError(f"record {name!r} has rank {arr.ndim}")
-    if max(arr.shape, default=0) > 0xFFFFFFFF:
-        raise CheckpointFormatError(
-            f"record {name!r} shape {arr.shape} has a dim of 2**32 or more")
-    with np.errstate(over="ignore"):      # overflow shows as inf below
-        values = arr.astype("<f4")
-    if not np.all(np.isfinite(values)):
-        raise CheckpointFormatError(
-            f"record {name!r} holds values that are not finite in float32")
-    return (struct.pack("<H", len(encoded)) + encoded
-            + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
-            + values.tobytes(order="C"))
+def _checked(name: str, arr: np.ndarray) -> np.ndarray:
+    """`arr`, if a record may hold it: float64, rank <= 4, finite."""
+    if arr.dtype != np.float64 or arr.ndim > 4 or not np.isfinite(arr).all():
+        raise CheckpointFormatError(f"record {name!r} ({arr.dtype}, rank "
+                                    f"{arr.ndim}) is not finite float64 of "
+                                    "rank <= 4")
+    return arr
 
 
 def save_records(path, records: dict[str, np.ndarray]) -> None:
-    """Write named arrays (rank <= 4) to `path` in insertion order.
-
-    Every record is checked before anything is written, and the file is
-    written next to `path` and then renamed onto it, so a failed save
-    leaves any earlier file at `path` as it was."""
-    data = b"".join([MAGIC, struct.pack("<H", VERSION)]
-                    + [_encode(name, arr) for name, arr in records.items()])
+    """Write named arrays (as float64), all checked first, to a synced file
+    that is then renamed onto `path`; equal records give equal bytes."""
+    data = io.BytesIO()
+    with zipfile.ZipFile(data, "w") as archive:
+        for name, arr in records.items():
+            arr = _checked(name, np.asarray(arr, dtype=np.float64, order="C"))
+            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
+                np.lib.format.write_array(fh, arr, allow_pickle=False)
+        archive.comment = b"%d" % len(records)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            fh.write(data.getvalue())
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
@@ -65,39 +46,25 @@ def save_records(path, records: dict[str, np.ndarray]) -> None:
 
 
 def load_records(path) -> dict[str, np.ndarray]:
-    """Read the records of a checkpoint; any malformed or truncated byte
-    sequence raises `CheckpointFormatError`."""
+    """Read a checkpoint's records; each is checked against its CRC-32
+    before it is parsed, and a bad file raises `CheckpointFormatError`."""
     data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
-        raise CheckpointFormatError("bad magic; not a checkpoint file")
-    off = 4
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(data):
-            raise CheckpointFormatError(
-                f"truncated checkpoint: {what} needs {n} bytes at offset "
-                f"{off}, {len(data) - off} left")
-        off += n
-        return data[off - n:off]
-
-    (version,) = struct.unpack("<H", take(2, "version"))
-    if version != VERSION:
-        raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+    try:
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:
+            infos = archive.infolist()
+            if archive.comment != b"%d" % len(infos):
+                raise zipfile.BadZipFile(f"record count {archive.comment!r}")
+            if any(i.compress_type != zipfile.ZIP_STORED for i in infos):
+                raise zipfile.BadZipFile("a member is compressed")
+            members = [(i.filename, np.lib.format.read_array(io.BytesIO(
+                archive.read(i)), allow_pickle=False)) for i in infos]
+    except (zipfile.BadZipFile, ValueError, EOFError, MemoryError,
+            NotImplementedError, RuntimeError) as err:
+        raise CheckpointFormatError(f"not a checkpoint file: {err}") from err
     records: dict[str, np.ndarray] = {}
-    while off < len(data):
-        (nlen,) = struct.unpack("<H", take(2, "name length"))
-        try:
-            name = take(nlen, "name").decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise CheckpointFormatError(f"record name is not utf-8: {err}")
-        if name in records:
-            raise CheckpointFormatError(f"duplicate record {name!r}")
-        (rank,) = struct.unpack("<B", take(1, "rank"))
-        if rank > 4:
-            raise CheckpointFormatError(f"record {name!r} has rank {rank}")
-        shape = struct.unpack(f"<{rank}I", take(4 * rank, "shape"))
-        values = np.frombuffer(take(4 * math.prod(shape), f"record {name!r}"),
-                               dtype="<f4")
-        records[name] = values.reshape(shape).astype(np.float64)
+    for member, arr in members:
+        name = member.removesuffix(".npy")
+        if name == member or name in records:
+            raise CheckpointFormatError(f"{member!r} is not a new .npy record")
+        records[name] = _checked(name, arr)
     return records

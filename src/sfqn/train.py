@@ -9,6 +9,7 @@ end-to-end with the Q-loss.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -256,12 +257,14 @@ def run_training(net: QNetwork, cfg: TrainConfig,
                  env_cfg: HighwayConfig | None = None,
                  checkpoint_dir=None, progress=None) -> list[MetricsRow]:
     """Full DQN run for one seed; returns one metrics row per checkpoint.
-    With `checkpoint_dir`, each checkpoint also saves the network there as
-    `{variant}_seed{cfg.seed}_step{step}.sfqn`.
+    Each checkpoint also saves the network into `checkpoint_dir`, if given
+    (checked first), as `{variant}_seed{cfg.seed}_step{step}.sfqn`.
 
     Bit-reproducible for a fixed (cfg, net seed): every stream of randomness
     is derived from cfg.seed.
     """
+    if checkpoint_dir is not None and not os.path.isdir(checkpoint_dir):
+        raise NotADirectoryError(f"no directory {str(checkpoint_dir)!r}")
     env_cfg = env_cfg or HighwayConfig()
     ss = np.random.SeedSequence(cfg.seed)
     act_rng, sample_rng, ep_seeds = [np.random.default_rng(s)

@@ -345,15 +345,19 @@ def test_cli_train_writes_artifacts_and_reproduces(tmp_path):
 
 
 def test_cli_eval_runs_on_checkpoint(tmp_path, capsys):
+    # the final checkpoint scores exactly what the run's last row recorded:
+    # the saved network is the network the run evaluated
     cfg_path = smoke_cfg_file(tmp_path)
     out = tmp_path / "run"
     main(["train", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    last = list(csv.DictReader(
+        (out / "metrics.csv").read_text().splitlines()))[-1]
     capsys.readouterr()
     assert main(["eval", "--config", str(cfg_path),
                  "--checkpoint", str(out / "fuzzy_seed0_step60.sfqn")]) == 0
-    text = capsys.readouterr().out
-    for key in ("avg_reward", "avg_speed", "crash_freq"):
-        assert key in text
+    assert capsys.readouterr().out.splitlines() == [
+        f"{key} = {last[key]}"
+        for key in ("avg_reward", "avg_speed", "crash_freq")]
 
 
 def test_cli_ablate_covers_matrix(tmp_path):

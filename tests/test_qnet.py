@@ -142,12 +142,53 @@ def test_save_load_roundtrip_digest(tmp_path):
     other = QNetwork(tiny_cfg(seed=99))
     assert other.parameter_digest() != net.parameter_digest()
     other.load(path)
-    # float32 serialization: digests match after pushing net through the
-    # same round-trip
-    net.load(path)
     assert other.parameter_digest() == net.parameter_digest()
     obs = rand_obs(cfg)
     assert np.array_equal(net.q_values(obs).q, other.q_values(obs).q)
+
+
+@pytest.mark.parametrize("variant", qnet.VARIANTS)
+def test_default_network_round_trip_is_lossless(tmp_path, variant):
+    net = QNetwork(NetworkConfig(variant=variant))
+    path = tmp_path / "net.sfqn"
+    net.save(path)
+    other = QNetwork(NetworkConfig(variant=variant, seed=7))
+    other.load(path)
+    assert other.parameter_digest() == net.parameter_digest()
+
+
+def test_numpy_reads_a_network_checkpoint(tmp_path):
+    net = QNetwork(tiny_cfg())
+    path = tmp_path / "net.sfqn"
+    net.save(path)
+    params = net.named_parameters()
+    with np.load(path, allow_pickle=False) as archive:
+        assert archive.files == list(params)
+        for name, p in params.items():
+            assert np.array_equal(archive[name], p.value)
+
+
+def test_a_flipped_byte_loads_the_same_network_or_raises(tmp_path):
+    # a sample of single-byte corruptions of a whole network's checkpoint
+    net = QNetwork(tiny_cfg())
+    path = tmp_path / "net.sfqn"
+    net.save(path)
+    data, digest = path.read_bytes(), net.parameter_digest()
+    other = QNetwork(tiny_cfg(seed=1))
+    rng = np.random.default_rng(0)
+    raised = 0
+    for i, mask in zip(rng.integers(len(data), size=400),
+                       rng.integers(1, 256, size=400)):
+        flipped = bytearray(data)
+        flipped[i] ^= mask
+        path.write_bytes(flipped)
+        try:
+            other.load(path)
+        except CheckpointFormatError:
+            raised += 1
+            continue
+        assert other.parameter_digest() == digest
+    assert raised > 300          # most bytes are values, under a CRC-32
 
 
 def test_load_rejects_records_not_matching_parameters(tmp_path):

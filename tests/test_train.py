@@ -259,6 +259,30 @@ def test_run_training_reproducible_and_checkpoints(tmp_path):
     assert (tmp_path / "fuzzy_seed3_step60.sfqn").exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "a_file"])
+def test_run_training_checks_checkpoint_dir_before_the_first_step(
+        tmp_path, monkeypatch, kind):
+    # a bad directory would otherwise fail at the first save, minutes in
+    bad = tmp_path / "ckpts"
+    if kind == "a_file":
+        bad.write_text("")
+    steps = []
+    real_step = HighwayEnv.step
+
+    def step(self, action):
+        steps.append(action)
+        return real_step(self, action)
+
+    monkeypatch.setattr(HighwayEnv, "step", step)
+    tcfg = TrainConfig(batch=8, buffer_capacity=200, total_steps=20,
+                       warmup_steps=10, checkpoint_every=10, eval_episodes=1)
+    ecfg = HighwayConfig(grid_size=8, horizon=20, n_vehicles=3,
+                         lidar_sectors=8)
+    with pytest.raises(OSError, match="ckpts"):
+        run_training(tiny_net(), tcfg, ecfg, checkpoint_dir=bad)
+    assert steps == []
+
+
 # A short run of every variant on a tiny grid: sha256 prefixes of the final
 # parameter digest and of the metrics rows.  Training is bit-reproducible,
 # so any change here is a change in behaviour.  On this grid the `fuzzy`
