@@ -4,6 +4,7 @@ the zip comment holds the record count, so a cut or corrupted file raises."""
 
 import io
 import os
+import re
 import zipfile
 from pathlib import Path
 
@@ -14,8 +15,16 @@ class CheckpointFormatError(ValueError):
     pass
 
 
+# `/` too: a zip member name holds it as a path separator
+_NAME = re.compile(r"[A-Za-z0-9._/-]{1,255}")
+
+
 def _checked(name: str, arr: np.ndarray) -> np.ndarray:
-    """`arr`, if a record may hold it: float64, rank <= 4, finite."""
+    """`arr`, if a record may hold it under `name`: float64, rank <= 4,
+    finite, and a name of 1-255 characters from `[A-Za-z0-9._/-]`."""
+    if not isinstance(name, str) or not _NAME.fullmatch(name):
+        raise CheckpointFormatError(f"record name {name!r:.80} is not 1-255 "
+                                    "characters of [A-Za-z0-9._/-]")
     if arr.dtype != np.float64 or arr.ndim > 4 or not np.isfinite(arr).all():
         raise CheckpointFormatError(f"record {name!r} ({arr.dtype}, rank "
                                     f"{arr.ndim}) is not finite float64 of "

@@ -25,7 +25,7 @@ from .config import (ABLATION_MATRIX, ConfigError, ExperimentConfig,
                      load_config)
 from .fuzzy import GAUSSIAN, TRIANGULAR, MembershipBank, membership_eval
 from .qnet import QNetwork, load_parameters
-from .train import MetricsRow, evaluate, run_training, write_metrics
+from .train import MetricsRow, evaluate, run_training
 
 
 def _code_sha256() -> str:
@@ -37,15 +37,17 @@ def _code_sha256() -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, cfg: ExperimentConfig) -> None:
-    """Config, code and numerics of a run.  Bitwise results hold per BLAS
-    build, so the manifest names the BLAS numpy links and the thread
-    variables the process saw (null when unset); the thread count the
-    library actually runs is not read."""
+def _write_manifest(out_dir: Path, cfg: ExperimentConfig,
+                    variants=None) -> None:
+    """Config, code, numerics and variants (default: the config's) of a run.
+    Bitwise results hold per BLAS build, so the manifest names the BLAS
+    numpy links and the thread variables the process saw (null when unset);
+    the thread count the library actually runs is not read."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {"config_sha256": cfg.digest(), "seeds": list(cfg.seeds),
                 "code_version": __version__, "code_sha256": _code_sha256(),
-                "numpy": np.__version__, "variant": cfg.variant,
+                "numpy": np.__version__,
+                "variants": list(variants or [cfg.variant]),
                 "blas": {"name": blas["name"], "version": blas["version"]},
                 **{var: os.environ.get(var) for var in
                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
@@ -54,37 +56,44 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig) -> None:
     (out_dir / "config.cfg").write_text(cfg.serialize())
 
 
-def _train_jobs(cfg: ExperimentConfig, variants, out_dir: Path,
-                verbose: bool):
-    """Run one training job per (variant, seed), variants outer, one after
-    another; yields each job's variant and metrics rows.  A job writes its
-    checkpoints to `out_dir`."""
-    def progress(row):
-        if verbose:
-            print(f"[{variant} seed {row.seed}] step {row.step}: "
-                  f"reward {row.avg_reward:.3f} speed {row.avg_speed:.2f} "
-                  f"crash {row.crash_freq:.4f}", file=sys.stderr)
+def _run_jobs(cfg: ExperimentConfig, variants, args) -> int:
+    """Train each (variant, seed) in turn, variants outer, into the run
+    directory: `manifest.json`, `config.cfg`, checkpoints named
+    `{variant}_seed{seed}_step{step}.sfqn` and one `metrics.csv`, whose
+    rows are synced as their checkpoints land."""
+    out_dir = Path(args.out or cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)     # before the first step
+    _write_manifest(out_dir, cfg, variants)
+    path = out_dir / "metrics.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["variant"] + [f.name for f in
+                                       dataclasses.fields(MetricsRow)])
 
-    for variant in variants:
-        for seed in cfg.seeds:
-            yield variant, run_training(
-                QNetwork(cfg.network_config(seed, variant)),
-                cfg.train_config(seed), cfg.env_config(),
-                checkpoint_dir=out_dir, progress=progress)
+        def checkpoint(row):    # of the job the loop below is running
+            net.save(out_dir / f"{variant}_seed{seed}_step{row.step}.sfqn")
+            writer.writerow((variant,) + dataclasses.astuple(row))
+            fh.flush()
+            os.fsync(fh.fileno())
+            if not args.quiet:
+                print(f"[{variant} seed {seed}] step {row.step}: "
+                      f"reward {row.avg_reward:.3f} speed {row.avg_speed:.2f}"
+                      f" crash {row.crash_freq:.4f}", file=sys.stderr)
+
+        for variant in variants:
+            for seed in cfg.seeds:
+                net = QNetwork(cfg.network_config(seed, variant))
+                run_training(net, cfg.train_config(seed), cfg.env_config(),
+                             progress=checkpoint)
+    print(f"wrote {path}")
+    return 0
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.variant:
         cfg = dataclasses.replace(cfg, variant=args.variant)
-    out_dir = Path(args.out or cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, cfg)
-    rows = [row for _, job in _train_jobs(cfg, [cfg.variant], out_dir,
-                                          not args.quiet) for row in job]
-    write_metrics(out_dir / "metrics.csv", rows)
-    print(f"wrote {out_dir / 'metrics.csv'} ({len(rows)} checkpoints)")
-    return 0
+    return _run_jobs(cfg, [cfg.variant], args)
 
 
 def cmd_eval(args) -> int:
@@ -98,21 +107,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = Path(args.out or cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, cfg)
-    path = out_dir / "ablation.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant"] + [f.name for f in
-                                       dataclasses.fields(MetricsRow)])
-        for variant, job in _train_jobs(cfg, ABLATION_MATRIX, out_dir,
-                                        not args.quiet):
-            writer.writerows((variant,) + dataclasses.astuple(row)
-                             for row in job)
-    print(f"wrote {path}")
-    return 0
+    return _run_jobs(load_config(args.config), ABLATION_MATRIX, args)
 
 
 def _print_table(rows, header, csv_path) -> int:

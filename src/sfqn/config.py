@@ -5,7 +5,8 @@ an error, `#` starts a comment.  parse -> serialize -> parse is the
 identity.  Apart from `variant`, `seeds` and `output_dir`, the keys are the
 fields of `TrainConfig`, `NetworkConfig` and `HighwayConfig` that the
 experiment does not derive itself, and values those configs reject, empty
-list entries and negative or repeated seeds are a `ConfigError`.
+list entries, negative or repeated seeds and text values with a `#`, a line
+break or outer whitespace are a `ConfigError`.
 """
 
 from __future__ import annotations
@@ -40,6 +41,13 @@ class _Experiment:
     """Methods of `ExperimentConfig`, whose fields are derived below."""
 
     def __post_init__(self):
+        for f in fields(self):     # each text value must parse back as is
+            value = getattr(self, f.name)
+            if isinstance(value, str) and (
+                    "#" in value or value != value.strip()
+                    or "".join(value.splitlines()) != value):
+                raise ConfigError(f"{f.name} = {value!r}: a text value holds "
+                                  "no '#', line break or outer whitespace")
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError(f"seeds must be one or more non-negative "
                               f"integers, got {self.seeds}")

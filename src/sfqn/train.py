@@ -8,9 +8,7 @@ end-to-end with the Q-loss.
 
 from __future__ import annotations
 
-import csv
-import os
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,8 +140,8 @@ class TrainConfig:
 
 
 def _stack(batch: list[Transition], key: str, which: str) -> np.ndarray:
-    return np.stack([np.asarray(getattr(t, which)[key], dtype=np.float64)
-                     for t in batch])
+    # one cast per column: widening the float32 frames is exact
+    return np.stack([getattr(t, which)[key] for t in batch]).astype(np.float64)
 
 
 def bellman_target(batch: list[Transition], target_net: QNetwork,
@@ -246,25 +244,15 @@ class MetricsRow:
     train_loss: float
 
 
-def write_metrics(path, rows: list[MetricsRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in fields(MetricsRow)])
-        writer.writerows(astuple(row) for row in rows)
-
-
 def run_training(net: QNetwork, cfg: TrainConfig,
                  env_cfg: HighwayConfig | None = None,
-                 checkpoint_dir=None, progress=None) -> list[MetricsRow]:
-    """Full DQN run for one seed; returns one metrics row per checkpoint.
-    Each checkpoint also saves the network into `checkpoint_dir`, if given
-    (checked first), as `{variant}_seed{cfg.seed}_step{step}.sfqn`.
+                 progress=None) -> list[MetricsRow]:
+    """Full DQN run for one seed; returns one metrics row per checkpoint,
+    and hands each row to `progress`, if given, as soon as it lands.
 
     Bit-reproducible for a fixed (cfg, net seed): every stream of randomness
     is derived from cfg.seed.
     """
-    if checkpoint_dir is not None and not os.path.isdir(checkpoint_dir):
-        raise NotADirectoryError(f"no directory {str(checkpoint_dir)!r}")
     env_cfg = env_cfg or HighwayConfig()
     ss = np.random.SeedSequence(cfg.seed)
     act_rng, sample_rng, ep_seeds = [np.random.default_rng(s)
@@ -302,9 +290,6 @@ def run_training(net: QNetwork, cfg: TrainConfig,
             rows.append(MetricsRow(step, cfg.seed, metrics["avg_reward"],
                                    metrics["avg_speed"], metrics["crash_freq"],
                                    eps, last_loss))
-            if checkpoint_dir is not None:
-                net.save(f"{checkpoint_dir}/{net.cfg.variant}_seed{cfg.seed}"
-                         f"_step{step}.sfqn")
             if progress is not None:
                 progress(rows[-1])
     return rows

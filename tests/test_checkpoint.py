@@ -88,6 +88,25 @@ def test_invalid_records_fail_before_anything_is_written(tmp_path, records,
     assert not (tmp_path / "new.sfqn").exists()
 
 
+@pytest.mark.parametrize("name", [
+    "w\0", "a" * 70_000, "\ud800", 5, "", "a" * 256, "a b", "w.npy\n"],
+    ids=["nul", "over_65535_bytes", "lone_surrogate", "int", "empty",
+         "256_chars", "space", "newline"])
+def test_bad_record_names_fail_before_anything_is_written(tmp_path, name):
+    # a NUL name used to save and then fail to load, 70000 bytes raised
+    # struct.error, a surrogate UnicodeEncodeError, and 5 saved as '5'
+    with pytest.raises(CheckpointFormatError, match="record name"):
+        save_records(tmp_path / "net.sfqn",
+                     {"kept": np.zeros(1), name: np.zeros(1)})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_longest_record_name_round_trips(tmp_path):
+    name = "A-z_0.9/" + "x" * 247
+    save_records(tmp_path / "net.sfqn", {name: np.zeros(1)})
+    assert list(load_records(tmp_path / "net.sfqn")) == [name]
+
+
 def test_largest_float32_saves(tmp_path):
     path = tmp_path / "edge.sfqn"
     edge = np.array([np.finfo(np.float32).max, np.finfo(np.float32).min])
@@ -231,6 +250,13 @@ def test_duplicate_record_rejected(tmp_path):
 def test_invalid_members_rejected(tmp_path, members, match):
     with pytest.raises(CheckpointFormatError, match=match):
         load_records(_archive(tmp_path, members))
+
+
+@pytest.mark.parametrize("member", ["a b.npy", ".npy", "\u00e9.npy",
+                                    "x" * 256 + ".npy"])
+def test_bad_record_names_rejected_on_load(tmp_path, member):
+    with pytest.raises(CheckpointFormatError, match="record name"):
+        load_records(_archive(tmp_path, [(member, np.zeros(2))]))
 
 
 def test_pickled_member_rejected(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 from dataclasses import fields
@@ -6,13 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sfqn
-from sfqn import cli, config, qnet
+from sfqn import cli, config, qnet, train
 from sfqn.cli import main
 from sfqn.config import (ABLATION_MATRIX, COMPONENTS, DERIVED, VARIANTS,
                          ConfigError, ExperimentConfig, parse_config)
 from sfqn.fuzzy import GAUSSIAN, TRIANGULAR, MembershipBank, membership_eval
+from sfqn.highway import HighwayEnv
 from sfqn.qnet import QNetwork
 
 SMOKE = """
@@ -109,6 +113,24 @@ def test_config_round_trip_identity():
 
 def test_config_defaults_round_trip():
     cfg = ExperimentConfig()
+    assert parse_config(cfg.serialize()) == cfg
+
+
+@pytest.mark.parametrize("value", ["runs#2", "runs ", " runs", "a\nb",
+                                   "a\rvariant = rate", "a\u2028b"])
+def test_config_rejects_a_text_value_the_format_cannot_hold(value):
+    # "runs#2 " used to serialize to text that parses back as "runs"
+    with pytest.raises(ConfigError, match="output_dir"):
+        ExperimentConfig(output_dir=value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=12), st.sampled_from(["output_dir", "variant"]))
+def test_config_text_values_round_trip_or_raise(value, key):
+    try:
+        cfg = ExperimentConfig(**{key: value})
+    except ConfigError:
+        return
     assert parse_config(cfg.serialize()) == cfg
 
 
@@ -335,7 +357,7 @@ def test_cli_train_writes_artifacts_and_reproduces(tmp_path):
     cfg = parse_config(SMOKE)
     assert manifest["config_sha256"] == cfg.digest()
     assert manifest["seeds"] == [0]
-    assert manifest["variant"] == "fuzzy"
+    assert manifest["variants"] == ["fuzzy"]
     assert (out / "config.cfg").read_text() == cfg.serialize()
 
     out2 = tmp_path / "run2"
@@ -360,16 +382,110 @@ def test_cli_eval_runs_on_checkpoint(tmp_path, capsys):
         for key in ("avg_reward", "avg_speed", "crash_freq")]
 
 
+METRICS_HEADER = ("variant,step,seed,avg_reward,avg_speed,crash_freq,eps,"
+                  "train_loss")
+
+
 def test_cli_ablate_covers_matrix(tmp_path):
     cfg_path = smoke_cfg_file(tmp_path)
     out = tmp_path / "ablation"
     assert main(["ablate", "--config", str(cfg_path), "--out", str(out),
                  "--quiet"]) == 0
-    rows = list(csv.DictReader(
-        (out / "ablation.csv").read_text().splitlines()))
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert lines[0] == METRICS_HEADER               # the layout of `train`
+    rows = list(csv.DictReader(lines))
     # one row per (variant, seed, checkpoint): 5 variants x 1 seed x 2 ckpts
     assert len(rows) == 10
     assert {r["variant"] for r in rows} == set(ABLATION_MATRIX)
+    assert all((out / f"{r['variant']}_seed0_step{r['step']}.sfqn").exists()
+               for r in rows)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["variants"] == list(ABLATION_MATRIX)
+    assert not (out / "ablation.csv").exists()
+
+
+def test_cli_metrics_layout(tmp_path):
+    cfg_path = smoke_cfg_file(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == 0
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert lines[0] == METRICS_HEADER
+    assert lines[1].startswith("fuzzy,30,0,")
+    assert lines[2].startswith("fuzzy,60,0,")
+    # named by the variant, the seed and the step
+    assert sorted(p.name for p in out.glob("*.sfqn")) == [
+        "fuzzy_seed0_step30.sfqn", "fuzzy_seed0_step60.sfqn"]
+
+
+@pytest.mark.parametrize("kind", ["a_file", "under_a_file"])
+def test_cli_out_is_checked_before_the_first_step(tmp_path, monkeypatch,
+                                                  capsys, kind):
+    # a bad run directory would otherwise fail at the first save, minutes in
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken if kind == "a_file" else taken / "run"
+    steps = []
+    monkeypatch.setattr(HighwayEnv, "step",
+                        lambda self, action: steps.append(action))
+    assert main(["train", "--config", str(smoke_cfg_file(tmp_path)),
+                 "--out", str(out), "--quiet"]) == 1
+    assert "taken" in capsys.readouterr().err
+    assert steps == []
+
+
+def _rows_on_disk(out):
+    return list(csv.reader((out / "metrics.csv").read_text().splitlines()))
+
+
+def test_cli_each_row_is_on_disk_once_its_checkpoint_is_handled(
+        tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    handled = []
+    real_run_training = cli.run_training
+
+    def run_training(net, tcfg, env_cfg, progress):
+        def checked(row):
+            progress(row)
+            variant = net.cfg.variant
+            assert _rows_on_disk(out)[-1] == [
+                variant] + [str(v) for v in dataclasses.astuple(row)]
+            saved = QNetwork(net.cfg)     # the network the row evaluated
+            saved.load(out / f"{variant}_seed{row.seed}_step{row.step}.sfqn")
+            assert saved.parameter_digest() == net.parameter_digest()
+            handled.append(row.step)
+        return real_run_training(net, tcfg, env_cfg, progress=checked)
+
+    monkeypatch.setattr(cli, "run_training", run_training)
+    assert main(["train", "--config", str(smoke_cfg_file(tmp_path)),
+                 "--out", str(out), "--quiet"]) == 0
+    assert handled == [30, 60]
+
+
+def test_cli_a_failed_job_keeps_every_earlier_row(tmp_path, monkeypatch,
+                                                   capsys):
+    # the second seed's job raises after its first checkpoint
+    real_train_step = train.train_step
+
+    def train_step(net, target, buffer, cfg, opt, rng):
+        if cfg.seed == 1 and opt.t == 25:
+            raise ValueError("non-finite loss")
+        return real_train_step(net, target, buffer, cfg, opt, rng)
+
+    monkeypatch.setattr(train, "train_step", train_step)
+    cfg_path = smoke_cfg_file(tmp_path,
+                              SMOKE.replace("seeds = 0", "seeds = 0,1"))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == 1
+    assert "non-finite loss" in capsys.readouterr().err
+    _, *rows = _rows_on_disk(out)
+    assert [r[:3] for r in rows] == [
+        ["fuzzy", "30", "0"], ["fuzzy", "60", "0"], ["fuzzy", "30", "1"]]
+    for _, step, seed, *_ in rows:
+        QNetwork(parse_config(SMOKE).network_config(int(seed))).load(
+            out / f"fuzzy_seed{seed}_step{step}.sfqn")
+    assert not (out / "fuzzy_seed1_step60.sfqn").exists()
 
 
 def _analyze(tmp_path, command: str, config_text: str) -> dict:
@@ -508,7 +624,7 @@ def test_cli_train_variant_override(tmp_path):
     assert main(["train", "--config", str(cfg_path), "--variant",
                  "nonspiking", "--out", str(out), "--quiet"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["variant"] == "nonspiking"
+    assert manifest["variants"] == ["nonspiking"]
     written = parse_config((out / "config.cfg").read_text())
     assert written.variant == "nonspiking" and written.total_steps == 30
     assert (out / "nonspiking_seed0_step30.sfqn").exists()

@@ -10,10 +10,9 @@ from sfqn.autodiff import Tensor
 from sfqn.config import ABLATION_MATRIX, parse_config
 from sfqn.highway import FASTER, HighwayConfig, HighwayEnv
 from sfqn.qnet import N_ACTIONS, NetworkConfig, QNetwork
-from sfqn.train import (Adam, MetricsRow, ReplayBuffer, TrainConfig,
-                        Transition, bellman_target, evaluate_policy,
-                        run_training, select_action, train_step,
-                        write_metrics)
+from sfqn.train import (Adam, ReplayBuffer, TrainConfig, Transition,
+                        bellman_target, evaluate_policy, run_training,
+                        select_action, train_step)
 
 
 def tiny_net(seed=0, **overrides):
@@ -236,7 +235,7 @@ def test_evaluate_crash_freq_counts_by_construction():
     assert metrics["crash_freq"] == crashes / steps
 
 
-def test_run_training_reproducible_and_checkpoints(tmp_path):
+def test_run_training_reproducible_and_checkpoints():
     ncfg = dict(obs_hw=(8, 8), conv_channels=(2, 4), c_emb=8, n_heads=2,
                 d_ff=16, fc_hidden=16, dec_hidden=8, t_steps=2, seed=0)
     tcfg = TrainConfig(batch=8, buffer_capacity=200, target_update_every=20,
@@ -245,42 +244,17 @@ def test_run_training_reproducible_and_checkpoints(tmp_path):
     ecfg = HighwayConfig(grid_size=8, horizon=20, n_vehicles=3,
                          lidar_sectors=8)
 
-    def run(out=None):
+    def run(progress=None):
         net = QNetwork(NetworkConfig(**ncfg))
-        return run_training(net, tcfg, ecfg, checkpoint_dir=out)
+        return run_training(net, tcfg, ecfg, progress=progress)
 
-    rows1 = run(tmp_path)
+    handed = []
+    rows1 = run(handed.append)
     rows2 = run()
     assert rows1 == rows2                   # bit-reproducible
+    assert handed == rows1                  # each row as it lands
     assert [r.step for r in rows1] == [30, 60]
     assert all(np.isfinite(r.train_loss) for r in rows1)
-    # named by the net's variant and the run's seed
-    assert (tmp_path / "fuzzy_seed3_step30.sfqn").exists()
-    assert (tmp_path / "fuzzy_seed3_step60.sfqn").exists()
-
-
-@pytest.mark.parametrize("kind", ["missing", "a_file"])
-def test_run_training_checks_checkpoint_dir_before_the_first_step(
-        tmp_path, monkeypatch, kind):
-    # a bad directory would otherwise fail at the first save, minutes in
-    bad = tmp_path / "ckpts"
-    if kind == "a_file":
-        bad.write_text("")
-    steps = []
-    real_step = HighwayEnv.step
-
-    def step(self, action):
-        steps.append(action)
-        return real_step(self, action)
-
-    monkeypatch.setattr(HighwayEnv, "step", step)
-    tcfg = TrainConfig(batch=8, buffer_capacity=200, total_steps=20,
-                       warmup_steps=10, checkpoint_every=10, eval_episodes=1)
-    ecfg = HighwayConfig(grid_size=8, horizon=20, n_vehicles=3,
-                         lidar_sectors=8)
-    with pytest.raises(OSError, match="ckpts"):
-        run_training(tiny_net(), tcfg, ecfg, checkpoint_dir=bad)
-    assert steps == []
 
 
 # A short run of every variant on a tiny grid: sha256 prefixes of the final
@@ -331,12 +305,3 @@ def test_run_training_stores_each_frame_once(monkeypatch):
     for tr, nxt, end in zip(data, data[1:], ends):
         # within an episode a frame is one dict shared by both transitions
         assert (tr.next_obs is nxt.obs) == (not end)
-
-
-def test_write_metrics_layout(tmp_path):
-    rows = [MetricsRow(5, 0, 1.0, 20.0, 0.0, 0.5, 0.01)]
-    path = tmp_path / "metrics.csv"
-    write_metrics(path, rows)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,seed,avg_reward,avg_speed,crash_freq,eps,train_loss"
-    assert lines[1].startswith("5,0,1.0,20.0,0.0,0.5,")
