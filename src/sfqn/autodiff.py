@@ -688,8 +688,8 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
     nothing, and builds no backward rule, if `x` takes no gradient.
     Backward rebuilds each reset membrane from its pre-threshold one by the
     forward's fire and subtract.  The per-element operations and their
-    order are those of the per-step graph, less its multiplications by a
-    theta_pos of 1, so results are bitwise equal to it.
+    order are those of the per-step graph, so results are bitwise equal to
+    it.
     """
     if alpha <= 0:
         raise ValueError("surrogate alpha must be positive")
@@ -697,7 +697,6 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
     shape = split_steps((t_steps * x.shape[0],) + x.shape[1:]
                         if repeat and x.shape else x.shape, t_steps)
     decay = None if tau is None else 1.0 / tau
-    unit = theta_pos == 1.0
     # blocks of whole samples, `step` samples (about SPIKE_BLOCK neurons) each
     step = max(1, min(shape[1], SPIKE_BLOCK // max(1, math.prod(shape[2:]))))
     blocks = [slice(b, min(b + step, shape[1]))
@@ -715,8 +714,7 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
                 np.multiply(np.subtract(x_t, v, out=tmp), decay, out=tmp)
                 np.add(v, tmp, out=pre)
             _fire(pre, theta_pos, s)
-            np.subtract(pre, s if unit else np.multiply(s, theta_pos, out=tmp),
-                        out=v)
+            np.subtract(pre, np.multiply(s, theta_pos, out=tmp), out=v)
             if theta_neg is not None:
                 _fire(v, theta_neg, tmp, below=True)
                 np.subtract(s, tmp, out=s)
@@ -758,8 +756,7 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
             for t in reversed(range(t_steps)):
                 if theta_neg is not None:
                     _fire(pres[t], theta_pos, mid)          # the reset membrane
-                    np.subtract(pres[t], mid if unit
-                                else np.multiply(mid, theta_pos, out=mid),
+                    np.subtract(pres[t], np.multiply(mid, theta_pos, out=mid),
                                 out=mid)
                     np.subtract(np.negative(g[t, blk], out=ds),
                                 np.multiply(dv, theta_neg, out=tmp), out=ds)
@@ -767,8 +764,7 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
                     np.multiply(ds, arctan_surrogate_grad(tmp, alpha, tmp),
                                 out=ds)
                     np.subtract(dv, ds, out=dv)
-                np.subtract(g[t, blk],
-                            dv if unit else np.multiply(dv, theta_pos, out=tmp),
+                np.subtract(g[t, blk], np.multiply(dv, theta_pos, out=tmp),
                             out=ds)
                 np.subtract(pres[t], theta_pos, out=tmp)
                 np.multiply(ds, arctan_surrogate_grad(tmp, alpha, tmp), out=ds)

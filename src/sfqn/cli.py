@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -57,34 +58,33 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig,
 
 
 def _run_jobs(cfg: ExperimentConfig, variants, args) -> int:
-    """Train each (variant, seed) in turn, variants outer, into the run
+    """Train each (variant, seed) in turn, variants outer, into a new run
     directory: `manifest.json`, `config.cfg`, checkpoints named
     `{variant}_seed{seed}_step{step}.sfqn` and one `metrics.csv`, whose
-    rows are synced as their checkpoints land."""
+    rows are synced as their checkpoints land.  A directory that exists and
+    is not empty is refused, since a run directory holds one run."""
     out_dir = Path(args.out or cfg.output_dir)
+    if out_dir.exists() and any(out_dir.iterdir()):
+        raise ValueError(f"output directory {out_dir} is not empty")
     out_dir.mkdir(parents=True, exist_ok=True)     # before the first step
     _write_manifest(out_dir, cfg, variants)
     path = out_dir / "metrics.csv"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["variant"] + [f.name for f in
                                        dataclasses.fields(MetricsRow)])
-
-        def checkpoint(row):    # of the job the loop below is running
-            net.save(out_dir / f"{variant}_seed{seed}_step{row.step}.sfqn")
-            writer.writerow((variant,) + dataclasses.astuple(row))
-            fh.flush()
-            os.fsync(fh.fileno())
-            if not args.quiet:
-                print(f"[{variant} seed {seed}] step {row.step}: "
-                      f"reward {row.avg_reward:.3f} speed {row.avg_speed:.2f}"
-                      f" crash {row.crash_freq:.4f}", file=sys.stderr)
-
-        for variant in variants:
-            for seed in cfg.seeds:
-                net = QNetwork(cfg.network_config(seed, variant))
-                run_training(net, cfg.train_config(seed), cfg.env_config(),
-                             progress=checkpoint)
+        for variant, seed in itertools.product(variants, cfg.seeds):
+            net = QNetwork(cfg.network_config(seed, variant))
+            for row in run_training(net, cfg.train_config(seed),
+                                    cfg.env_config()):
+                net.save(out_dir / f"{variant}_seed{seed}_step{row.step}.sfqn")
+                writer.writerow((variant,) + dataclasses.astuple(row))
+                fh.flush()
+                os.fsync(fh.fileno())
+                if not args.quiet:
+                    print(f"[{variant} seed {seed}] step {row.step}: reward "
+                          f"{row.avg_reward:.3f} speed {row.avg_speed:.2f} "
+                          f"crash {row.crash_freq:.4f}", file=sys.stderr)
     print(f"wrote {path}")
     return 0
 
@@ -98,7 +98,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    net = QNetwork(cfg.network_config(cfg.seeds[0]))
+    net = QNetwork(cfg.network_config(cfg.seeds[0], args.variant))
     net.load(args.checkpoint)
     metrics = evaluate(net, cfg.env_config(), cfg.eval_episodes)
     for key in ("avg_reward", "avg_speed", "crash_freq"):
@@ -117,7 +117,7 @@ def _print_table(rows, header, csv_path) -> int:
         print(f"{key:<{width}}  {value}")
     if csv_path:
         with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
     return 0
@@ -167,7 +167,7 @@ def cmd_plot_membership(args) -> int:
             columns.append(mu[i])
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        writer = csv.writer(out)
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         for row in zip(*columns):
             writer.writerow([f"{v:.6f}" for v in row])
@@ -193,6 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a saved checkpoint")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
+    p.add_argument("--variant",
+                   help="variant of the checkpoint (default: the config's)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run the five-variant ablation matrix")

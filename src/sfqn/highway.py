@@ -10,12 +10,21 @@ raster and a LiDAR-style occupancy grid encoding relative velocity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-LEFT, IDLE, RIGHT, FASTER, SLOWER = range(5)
 ACTION_NAMES = ("LEFT", "IDLE", "RIGHT", "FASTER", "SLOWER")
+LEFT, IDLE, RIGHT, FASTER, SLOWER = range(len(ACTION_NAMES))
+
+
+def check_action(action) -> None:
+    """Raise ValueError unless `action` is an integer (not a bool) that
+    indexes ACTION_NAMES."""
+    if (isinstance(action, bool) or not isinstance(action, (int, np.integer))
+            or not 0 <= action < len(ACTION_NAMES)):
+        raise ValueError(f"invalid action {action!r}: not an integer in "
+                         f"[0, {len(ACTION_NAMES)})")
 
 
 @dataclass
@@ -40,6 +49,11 @@ class HighwayConfig:
     spawn_min_gap: float = 12.0
 
     def __post_init__(self):
+        # NaN or inf slips past the range checks below or poisons the reward
+        nonfinite = [f.name for f in fields(self)
+                     if not -math.inf < getattr(self, f.name) < math.inf]
+        if nonfinite:
+            raise ValueError(f"must be finite: {', '.join(nonfinite)}")
         small = [name for name in ("lanes", "lane_change_steps", "horizon",
                                    "grid_size", "lidar_sectors")
                  if getattr(self, name) < 1]
@@ -135,10 +149,7 @@ class HighwayEnv:
         cfg = self.cfg
         if self._done:
             raise EpisodeOver("episode is terminal; call reset()")
-        if (isinstance(action, bool)
-                or not isinstance(action, (int, np.integer))
-                or action not in range(5)):
-            raise ValueError(f"invalid action {action!r}: an integer in 0..4")
+        check_action(action)
 
         if action == FASTER:
             self.ego_speed = min(self.ego_speed + cfg.dv, cfg.v_max)
@@ -192,8 +203,8 @@ class HighwayEnv:
         grid = np.zeros((1, n, n))
 
         for boundary in range(cfg.lanes + 1):
-            d_lat = (boundary - 0.5 - self.ego_lat) * cfg.lane_width
-            row = n // 2 + int(round(d_lat / cfg.resolution))
+            row, _ = self._cell(0.0, (boundary - 0.5 - self.ego_lat)
+                                * cfg.lane_width)
             if 0 <= row < n:
                 grid[0, row, :] = 0.3
 

@@ -144,7 +144,7 @@ class QVector:
     q: np.ndarray
 
 
-class QNetwork:
+class QNetwork(ad.Module):
     """Two modality branches fused by spiking cross-attention, with the
     encoder and decoder of the config's variant."""
 
@@ -215,9 +215,6 @@ class QNetwork:
 
     def named_parameters(self) -> dict[str, Tensor]:
         return _named_parameters(self.layers)
-
-    def parameters(self) -> list[Tensor]:
-        return list(self.named_parameters().values())
 
     def copy_parameters_from(self, other: "QNetwork") -> None:
         mine, theirs = self.named_parameters(), other.named_parameters()

@@ -8,13 +8,14 @@ end-to-end with the Q-loss.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .highway import HighwayConfig, HighwayEnv
+from .highway import HighwayConfig, HighwayEnv, check_action
 from .qnet import N_ACTIONS, QNetwork
 
 
@@ -27,11 +28,7 @@ class Transition:
     terminal: bool
 
     def __post_init__(self):
-        if (isinstance(self.action, bool)
-                or not isinstance(self.action, (int, np.integer))):
-            raise ValueError(f"action {self.action!r} is not an integer")
-        if not 0 <= self.action < N_ACTIONS:
-            raise ValueError(f"action {self.action} out of range")
+        check_action(self.action)
         if not np.isfinite(self.reward):
             raise ValueError("non-finite reward")
 
@@ -204,7 +201,7 @@ def evaluate_policy(policy, env_cfg: HighwayConfig, n_episodes: int = 20,
         raise ValueError(f"evaluation needs at least one episode, got "
                          f"n_episodes={n_episodes} and no seeds")
     env = HighwayEnv(env_cfg)
-    total_reward, total_speed, steps, crashes = 0.0, 0.0, 0, 0
+    total_speed, steps, crashes = 0.0, 0, 0
     rewards = []
     for seed in seeds:
         obs = env.reset(seed=seed)
@@ -218,8 +215,7 @@ def evaluate_policy(policy, env_cfg: HighwayConfig, n_episodes: int = 20,
             if info["crashed"]:
                 crashes += 1
         rewards.append(ep_reward)
-        total_reward += ep_reward
-    return {"avg_reward": total_reward / len(seeds),
+    return {"avg_reward": sum(rewards) / len(seeds),
             "avg_speed": total_speed / steps,
             "crash_freq": crashes / steps,
             "episode_rewards": rewards}
@@ -245,10 +241,11 @@ class MetricsRow:
 
 
 def run_training(net: QNetwork, cfg: TrainConfig,
-                 env_cfg: HighwayConfig | None = None,
-                 progress=None) -> list[MetricsRow]:
-    """Full DQN run for one seed; returns one metrics row per checkpoint,
-    and hands each row to `progress`, if given, as soon as it lands.
+                 env_cfg: HighwayConfig | None = None
+                 ) -> Iterator[MetricsRow]:
+    """Full DQN run for one seed, yielding each checkpoint's metrics row as
+    it lands.  It trains only while iterated: the steps up to a checkpoint
+    run when its row is asked for.
 
     Bit-reproducible for a fixed (cfg, net seed): every stream of randomness
     is derived from cfg.seed.
@@ -270,7 +267,6 @@ def run_training(net: QNetwork, cfg: TrainConfig,
     # each frame is converted once: next_obs is the next transition's obs
     obs = new_episode()
     last_loss = float("nan")
-    rows: list[MetricsRow] = []
     for step in range(1, cfg.total_steps + 1):
         eps = cfg.epsilon(step)
         action = select_action(net, obs, eps, act_rng)
@@ -287,9 +283,6 @@ def run_training(net: QNetwork, cfg: TrainConfig,
             target.copy_parameters_from(net)
         if step % cfg.checkpoint_every == 0 or step == cfg.total_steps:
             metrics = evaluate(net, env_cfg, cfg.eval_episodes)
-            rows.append(MetricsRow(step, cfg.seed, metrics["avg_reward"],
-                                   metrics["avg_speed"], metrics["crash_freq"],
-                                   eps, last_loss))
-            if progress is not None:
-                progress(rows[-1])
-    return rows
+            yield MetricsRow(step, cfg.seed, metrics["avg_reward"],
+                             metrics["avg_speed"], metrics["crash_freq"],
+                             eps, last_loss)

@@ -320,8 +320,9 @@ def _final_avg_reward(variant: str) -> float:
         finals = []
         for seed in cfg.seeds:
             net = QNetwork(cfg.network_config(seed, variant))
-            rows = run_training(net, cfg.train_config(seed), cfg.env_config())
-            finals.append(rows[-1].avg_reward)
+            *_, last = run_training(net, cfg.train_config(seed),
+                                    cfg.env_config())
+            finals.append(last.avg_reward)
         _RESULTS[variant] = float(np.mean(finals))
     return _RESULTS[variant]
 

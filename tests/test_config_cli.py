@@ -304,6 +304,19 @@ def test_network_config_rejects_silencing_values(key, value):
         qnet.NetworkConfig(**{key: value})
 
 
+COMPONENT_FLOATS = [(cls, f.name) for cls in COMPONENTS
+                    for f in fields(cls) if f.type in ("float", float)]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("cls,key", COMPONENT_FLOATS)
+def test_component_rejects_a_non_finite_float(cls, key, value):
+    # built directly, not parsed: w_speed = nan would make every reward NaN
+    with pytest.raises(ValueError, match=rf"\b{key}\b"):
+        cls(**{key: value})
+
+
 def test_config_comments_ignored():
     cfg = parse_config("# header\nvariant = rate  # trailing\n")
     assert cfg.variant == "rate"
@@ -382,6 +395,58 @@ def test_cli_eval_runs_on_checkpoint(tmp_path, capsys):
         for key in ("avg_reward", "avg_speed", "crash_freq")]
 
 
+def test_cli_eval_scores_every_variant_an_ablation_writes(tmp_path, capsys):
+    cfg_path = smoke_cfg_file(tmp_path)
+    out = tmp_path / "ablation"
+    assert main(["ablate", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == 0
+    last = {row["variant"]: row for row in csv.DictReader(
+        (out / "metrics.csv").read_text().splitlines())}
+    capsys.readouterr()
+    for variant in ABLATION_MATRIX:
+        assert main(["eval", "--config", str(cfg_path), "--variant", variant,
+                     "--checkpoint",
+                     str(out / f"{variant}_seed0_step60.sfqn")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{key} = {last[variant][key]}"
+            for key in ("avg_reward", "avg_speed", "crash_freq")]
+
+
+def test_cli_refuses_a_run_directory_that_holds_a_run(tmp_path, monkeypatch,
+                                                     capsys):
+    cfg_path = smoke_cfg_file(tmp_path)
+    out = tmp_path / "run"
+    argv = ["train", "--config", str(cfg_path), "--out", str(out), "--quiet"]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    steps = []
+    monkeypatch.setattr(HighwayEnv, "step",
+                        lambda self, action: steps.append(action))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "not empty" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert steps == []
+
+
+def test_cli_csv_files_end_lines_with_lf_only(tmp_path):
+    cfg_path = smoke_cfg_file(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == 0
+    written = [out / "metrics.csv", tmp_path / "curves.csv"]
+    assert main(["plot-membership", "--checkpoint",
+                 str(out / "fuzzy_seed0_step30.sfqn"),
+                 "--out", str(written[-1]), "--samples", "5"]) == 0
+    for command in ("analyze-capacity", "analyze-cost"):
+        written.append(tmp_path / f"{command}.csv")
+        assert main([command, "--config", str(cfg_path),
+                     "--csv", str(written[-1])]) == 0
+    for path in written:
+        text = path.read_bytes()
+        assert text.endswith(b"\n") and b"\r" not in text, path.name
+
+
 METRICS_HEADER = ("variant,step,seed,avg_reward,avg_speed,crash_freq,eps,"
                   "train_loss")
 
@@ -444,9 +509,10 @@ def test_cli_each_row_is_on_disk_once_its_checkpoint_is_handled(
     handled = []
     real_run_training = cli.run_training
 
-    def run_training(net, tcfg, env_cfg, progress):
-        def checked(row):
-            progress(row)
+    def run_training(net, tcfg, env_cfg):
+        for row in real_run_training(net, tcfg, env_cfg):
+            yield row
+            # the loop asks for the next row once it has handled this one
             variant = net.cfg.variant
             assert _rows_on_disk(out)[-1] == [
                 variant] + [str(v) for v in dataclasses.astuple(row)]
@@ -454,7 +520,6 @@ def test_cli_each_row_is_on_disk_once_its_checkpoint_is_handled(
             saved.load(out / f"{variant}_seed{row.seed}_step{row.step}.sfqn")
             assert saved.parameter_digest() == net.parameter_digest()
             handled.append(row.step)
-        return real_run_training(net, tcfg, env_cfg, progress=checked)
 
     monkeypatch.setattr(cli, "run_training", run_training)
     assert main(["train", "--config", str(smoke_cfg_file(tmp_path)),

@@ -78,6 +78,23 @@ def test_transition_action_bound_is_n_actions():
             Transition(obs, action, 0.0, obs, False)
 
 
+@pytest.mark.parametrize("action", [True, 2.0, np.float64(2), -1, N_ACTIONS,
+                                    2, np.int64(2)])
+def test_env_and_transition_share_one_action_rule(action):
+    def accepts(call):
+        try:
+            call()
+        except ValueError:
+            return False
+        return True
+
+    env = HighwayEnv(HighwayConfig(n_vehicles=0))
+    obs = rand_obs()
+    env.reset(seed=0)
+    assert accepts(lambda: env.step(action)) == accepts(
+        lambda: Transition(obs, action, 0.0, obs, False))
+
+
 def test_replay_buffer_ring_eviction():
     buf = ReplayBuffer(100)
     obs = rand_obs()
@@ -244,15 +261,13 @@ def test_run_training_reproducible_and_checkpoints():
     ecfg = HighwayConfig(grid_size=8, horizon=20, n_vehicles=3,
                          lidar_sectors=8)
 
-    def run(progress=None):
+    def run():
         net = QNetwork(NetworkConfig(**ncfg))
-        return run_training(net, tcfg, ecfg, progress=progress)
+        return list(run_training(net, tcfg, ecfg))
 
-    handed = []
-    rows1 = run(handed.append)
+    rows1 = run()
     rows2 = run()
     assert rows1 == rows2                   # bit-reproducible
-    assert handed == rows1                  # each row as it lands
     assert [r.step for r in rows1] == [30, 60]
     assert all(np.isfinite(r.train_loss) for r in rows1)
 
@@ -297,7 +312,7 @@ def test_run_training_stores_each_frame_once(monkeypatch):
 
     monkeypatch.setattr(train, "ReplayBuffer", CapturedBuffer)
     net = QNetwork(RUN_CFG.network_config(0, "nonspiking"))
-    run_training(net, RUN_CFG.train_config(3), RUN_CFG.env_config())
+    list(run_training(net, RUN_CFG.train_config(3), RUN_CFG.env_config()))
     data = buffers[0]._data
     assert len(data) == RUN_CFG.total_steps     # no ring wrap-around
     ends = [tr.terminal for tr in data[:-1]]
@@ -305,3 +320,30 @@ def test_run_training_stores_each_frame_once(monkeypatch):
     for tr, nxt, end in zip(data, data[1:], ends):
         # within an episode a frame is one dict shared by both transitions
         assert (tr.next_obs is nxt.obs) == (not end)
+
+
+def test_run_training_yields_each_row_as_it_lands(monkeypatch):
+    steps, evaluated = [0], []          # training env steps; at each eval
+    real_step, real_evaluate = HighwayEnv.step, train.evaluate
+
+    def step(self, action):
+        steps[0] += 1
+        return real_step(self, action)
+
+    def evaluate(*args):
+        evaluated.append(steps[0])
+        metrics = real_evaluate(*args)
+        steps[0] = evaluated[-1]        # evaluation episodes do not count
+        return metrics
+
+    monkeypatch.setattr(HighwayEnv, "step", step)
+    monkeypatch.setattr(train, "evaluate", evaluate)
+    tcfg = RUN_CFG.train_config(3)
+    rows = run_training(QNetwork(RUN_CFG.network_config(0, "nonspiking")),
+                        tcfg, RUN_CFG.env_config())
+    assert steps == [0]                 # nothing runs until iterated
+    first = next(rows)
+    assert first.step == steps[0] == tcfg.checkpoint_every
+    assert evaluated == [tcfg.checkpoint_every]
+    assert [row.step for row in rows] == [tcfg.total_steps]
+    assert steps == [tcfg.total_steps]
