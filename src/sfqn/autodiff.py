@@ -26,7 +26,8 @@ before it builds a node or a backward rule (`_unary`, `_binary`).  Spike
 nonlinearities get a hard forward (Heaviside) with an arctangent surrogate
 derivative that is computed only when backward runs.  `spike_recurrence`
 runs a whole (L)IF membrane recurrence over T steps as one node, with
-backpropagation through time in its backward.
+backpropagation through time in its backward, and `triangular_membership`
+evaluates a bank of triangular membership functions as one node.
 
 A process-global multiplication counter can be armed with `count_mults()`;
 the dense kernels (matmul, conv2d, triangular membership eval) report the
@@ -687,9 +688,10 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
     to rebuild one block's membranes into a (T, block) buffer; it keeps
     nothing, and builds no backward rule, if `x` takes no gradient.
     Backward rebuilds each reset membrane from its pre-threshold one by the
-    forward's fire and subtract.  The per-element operations and their
-    order are those of the per-step graph, so results are bitwise equal to
-    it.
+    forward's fire and subtract, and writes each step's input gradient over
+    that step's membrane once it has read it for the last time.  The
+    per-element operations and their order are those of the per-step graph,
+    so results are bitwise equal to it.
     """
     if alpha <= 0:
         raise ValueError("surrogate alpha must be positive")
@@ -737,21 +739,21 @@ def spike_recurrence(x, t_steps: int, theta_pos: float = 1.0,
     x_shape = x.value.shape
 
     def grad(g, saved, _):
-        # `saved` is the drive under `repeat`, else the membranes
+        # `saved` is the drive under `repeat`, else the membranes; each
+        # step's input gradient overwrites that step's membrane (rebuilt
+        # under `repeat`), which backward has then read for the last time
         g = g.reshape(shape)
-        dx = np.empty(x_shape if repeat else shape)
+        dx = np.empty(x_shape) if repeat else saved
         bufs = np.empty((4, step) + shape[2:])
         rebuilt = np.empty((t_steps, step) + shape[2:]) if repeat else None
         for blk in blocks:
             n = blk.stop - blk.start
             dv, ds, tmp, mid = bufs[:, :n]
             if repeat:
-                # each step's input gradient then overwrites that step's
-                # rebuilt membrane, which backward has read for the last time
                 pres = dxs = rebuilt[:, :n]
                 run(np.broadcast_to(saved, shape)[:, blk], dv, ds, tmp, pres)
             else:
-                pres, dxs = saved[:, blk], dx[:, blk]
+                pres = dxs = saved[:, blk]
             dv.fill(0.0)               # dL/d(membrane after step t)
             for t in reversed(range(t_steps)):
                 if theta_neg is not None:
@@ -813,3 +815,62 @@ def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
                             - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
 
     return Tensor(out_val, (nx, ng, nb), backward)
+
+
+# ---------------------------------------------------------------------------
+# triangular membership
+# ---------------------------------------------------------------------------
+
+def triangular_membership(p, a, b, c) -> Tensor:
+    """Membership degrees relu(min((p-a)/(b-a), (c-p)/(c-b))) of the
+    constant points `p` under triangles (a, b, c), as one node.
+
+    `a`, `b` and `c` broadcast against `p`, say (N, 1, ...) banks against
+    (1, ...) points.  The forward runs the elementwise steps of that
+    composition of `sub`, `div`, `minimum` and `relu` in their order, so a
+    tie goes to the rising edge and a degree of exactly 0 passes no
+    gradient.  The rule keeps a copy of the points and the three bank
+    values; backward recomputes the edges and masks from them and hands a,
+    b and c each the two terms the composed rules hand them, so degrees and
+    gradients are bitwise those of the composition.
+    """
+    a, b, c = as_tensor(a), as_tensor(b), as_tensor(c)
+    pv = _as_array(p)
+    av, bv, cv = a.value, b.value, c.value
+    up, down = (pv - av) / (bv - av), (cv - pv) / (cv - bv)
+    m = np.where(up <= down, up, down)
+    out_val = np.where(m > 0, m, 0.0)
+    na, nb, nc = _grad_node(a), _grad_node(b), _grad_node(c)
+    if na is None and nb is None and nc is None:
+        return Tensor(out_val, constant=True)
+    pts = np.array(pv)                  # the caller may change its points
+
+    def backward(g):
+        x1, y1, x2, y2 = pts - av, bv - av, cv - pts, cv - bv
+        up, down = x1 / y1, x2 / y2
+        take = up <= down
+        drop = ~take
+        # `relu`'s mask m > 0 of m = where(take, up, down), built from
+        # bool arrays, which is faster than `where` on floats
+        g = g * ((take & (up > 0)) | (drop & (down > 0)))
+        del up, down
+        g_up, g_down = g * take, g * drop                   # `minimum`
+        del g, take, drop
+        # `div`, then `sub`: the rising edge's numerator p - a hands a one
+        # term and its denominator b - a hands a and b one each; the
+        # falling edge's c - p and c - b do the same for c and b
+        g_y1 = _unbroadcast(-g_up * x1 / (y1 ** 2), y1.shape)
+        g_a = _unbroadcast(-(g_up / y1), av.shape)
+        del g_up, x1
+        g_y2 = _unbroadcast(-g_down * x2 / (y2 ** 2), y2.shape)
+        g_c = _unbroadcast(g_down / y2, cv.shape)
+        del g_down, x2
+        if na is not None:
+            _acc(na, g_a + _unbroadcast(-g_y1, av.shape))
+        if nb is not None:
+            _acc(nb, _unbroadcast(g_y1, bv.shape)
+                 + _unbroadcast(-g_y2, bv.shape))
+        if nc is not None:
+            _acc(nc, g_c + _unbroadcast(g_y2, cv.shape))
+
+    return Tensor(out_val, (na, nb, nc), backward)

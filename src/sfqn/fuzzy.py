@@ -92,11 +92,9 @@ def membership_eval(bank: MembershipBank, p) -> Tensor:
         a = ad.reshape(a, (bank.n,) + extra)
         b = ad.reshape(b, (bank.n,) + extra)
         c = ad.reshape(c, (bank.n,) + extra)
-        up = (pt - a) / (b - a)
-        down = (c - pt) / (c - b)
         # relu(min(up, down)) reproduces the piecewise triangle; ties and
         # kinks take the left-limit subgradient.
-        mu = ad.relu(ad.minimum(up, down))
+        mu = ad.triangular_membership(pt.value, a, b, c)
         ad.record_mults(bank.n * pv.size)           # one slope multiply per eval
     else:
         mean = ad.reshape(bank._mean, (bank.n,) + extra)

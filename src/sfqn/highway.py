@@ -18,13 +18,29 @@ ACTION_NAMES = ("LEFT", "IDLE", "RIGHT", "FASTER", "SLOWER")
 LEFT, IDLE, RIGHT, FASTER, SLOWER = range(len(ACTION_NAMES))
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_action(action) -> None:
     """Raise ValueError unless `action` is an integer (not a bool) that
     indexes ACTION_NAMES."""
-    if (isinstance(action, bool) or not isinstance(action, (int, np.integer))
-            or not 0 <= action < len(ACTION_NAMES)):
+    if not _is_integer(action) or not 0 <= action < len(ACTION_NAMES):
         raise ValueError(f"invalid action {action!r}: not an integer in "
                          f"[0, {len(ACTION_NAMES)})")
+
+
+def check_integer_fields(cfg) -> None:
+    """Raise ValueError naming the first field of dataclass `cfg` declared
+    `int`, or a tuple of ints, that holds anything but integers (a bool
+    included)."""
+    for f in fields(cfg):
+        if f.type == "int" or f.type.startswith("tuple[int"):
+            value = getattr(cfg, f.name)
+            items = value if isinstance(value, (tuple, list)) else (value,)
+            if not all(map(_is_integer, items)):
+                raise ValueError(f"{f.name} takes integers (not bools), "
+                                 f"got {value!r}")
 
 
 @dataclass
@@ -49,6 +65,7 @@ class HighwayConfig:
     spawn_min_gap: float = 12.0
 
     def __post_init__(self):
+        check_integer_fields(self)
         # NaN or inf slips past the range checks below or poisons the reward
         nonfinite = [f.name for f in fields(self)
                      if not -math.inf < getattr(self, f.name) < math.inf]

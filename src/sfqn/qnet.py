@@ -19,7 +19,7 @@ from . import fuzzy, snn
 from .analysis import cost_model
 from .autodiff import Tensor
 from .checkpoint import CheckpointFormatError, load_records, save_records
-from .highway import ACTION_NAMES
+from .highway import ACTION_NAMES, check_integer_fields
 
 N_ACTIONS = len(ACTION_NAMES)
 
@@ -59,6 +59,7 @@ class NetworkConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; "
                              f"choose from {sorted(VARIANTS)}")
+        check_integer_fields(self)
         small = [name for name in (
             "n_membership", "m_population", "t_steps", "obs_hw",
             "conv_channels", "conv_kernel", "conv_stride", "c_emb", "n_heads",

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .highway import HighwayConfig, HighwayEnv, check_action
+from .highway import (HighwayConfig, HighwayEnv, check_action,
+                      check_integer_fields)
 from .qnet import N_ACTIONS, QNetwork
 
 
@@ -105,6 +106,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer_fields(self)
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0,1)")
         if not 0 < self.lr < np.inf:

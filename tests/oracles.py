@@ -9,7 +9,9 @@ None of these run in training, evaluation or the benchmark:
 - `centroid_positions` and `decode_centroid` are the discrete centroid
   defuzzifier that the neural decoder learns (criterion 6);
 - `ternary_scores_addonly` computes ternary attention scores with
-  additions only.
+  additions only;
+- `triangular_membership_composed` is the triangular membership as the
+  graph of elementwise ops that `autodiff.triangular_membership` fuses.
 """
 
 from __future__ import annotations
@@ -118,3 +120,14 @@ def ternary_scores_addonly(q: np.ndarray, k: np.ndarray):
     same = np.sum((qe == ke) & nonzero, axis=-1)
     opposite = np.sum((qe == -ke) & nonzero, axis=-1)
     return (same - opposite).astype(np.float64), 0
+
+
+def triangular_membership_composed(p, a: Tensor, b: Tensor,
+                                   c: Tensor) -> Tensor:
+    """relu(min((p-a)/(b-a), (c-p)/(c-b))) of constant points `p`, one
+    autodiff node per op: the reference that the fused node's degrees and
+    gradients equal bit for bit."""
+    pt = ad.as_tensor(p)
+    up = (pt - a) / (b - a)
+    down = (c - pt) / (c - b)
+    return ad.relu(ad.minimum(up, down))

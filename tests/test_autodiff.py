@@ -795,6 +795,7 @@ def test_count_mults_nests_and_restores_after_exception():
 
 # Every public op with operand values of a shape it takes: (op, values).
 _RNG = np.random.default_rng(11)
+_POINTS = _RNG.random((1, 5))
 OPS = {
     "add": (ad.add, [_RNG.standard_normal((2, 3)), _RNG.standard_normal(3)]),
     "sub": (ad.sub, [_RNG.standard_normal((2, 3)), _RNG.standard_normal(3)]),
@@ -828,6 +829,10 @@ OPS = {
     "layernorm": (ad.layernorm, [_RNG.standard_normal((2, 4)),
                                  _RNG.random(4) + 0.5,
                                  _RNG.standard_normal(4)]),
+    "triangular_membership": (
+        lambda a, b, c: ad.triangular_membership(_POINTS, a, b, c),
+        [np.array([[0.0], [0.3]]), np.array([[0.4], [0.5]]),
+         np.array([[0.8], [0.9]])]),
 }
 
 

@@ -98,7 +98,8 @@ def test_graph_mb_counts_what_the_forward_retains():
     images a rule saves, about 10 KiB here, so a buffer the count misses
     fails this at well under 1 MiB."""
     net = QNetwork(NetworkConfig(obs_hw=(16, 16)))
-    bev, lidar = np.random.default_rng(0).random((2, 16, 1, 16, 16))
+    # a batch of 20 keeps the retained graph above 4 MiB (about 4.7 MiB)
+    bev, lidar = np.random.default_rng(0).random((2, 20, 1, 16, 16))
     arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
     tracemalloc.start()
     try:

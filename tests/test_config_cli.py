@@ -317,6 +317,28 @@ def test_component_rejects_a_non_finite_float(cls, key, value):
         cls(**{key: value})
 
 
+COMPONENT_INTS = [(cls, f) for cls in COMPONENTS for f in fields(cls)
+                  if f.type == "int" or f.type.startswith("tuple[int")]
+
+
+def test_component_integer_fields_are_found():
+    assert {f.name for _, f in COMPONENT_INTS} >= {
+        "lanes", "grid_size", "batch", "total_steps", "seed", "t_steps",
+        "obs_hw", "conv_channels"}
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("cls,f", COMPONENT_INTS, ids=[
+    f"{c.__name__}.{f.name}" for c, f in COMPONENT_INTS])
+def test_component_rejects_a_non_integer_in_an_integer_field(cls, f, value):
+    # built directly, not parsed, a non-integer size would fail only deep
+    # in a run (lanes in reset) or never (batch); a tuple checks each entry
+    if f.type != "int":
+        value = f.default[:-1] + (value,)
+    with pytest.raises(ValueError, match=rf"\b{f.name}\b"):
+        cls(**{f.name: value})
+
+
 def test_config_comments_ignored():
     cfg = parse_config("# header\nvariant = rate  # trailing\n")
     assert cfg.variant == "rate"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (centroid_positions, decode_centroid, grad_check,
-                     soft_spikes)
+                     soft_spikes, triangular_membership_composed)
 from sfqn import autodiff as ad
 from sfqn import fuzzy
 from sfqn.autodiff import Tensor
@@ -129,6 +129,98 @@ def test_membership_kink_uses_left_limit():
     # wrt log(b-a) of (p-a)/(b-a) is -(p-a)/(b-a) = -1
     assert bank._log_ab.grad[0] == pytest.approx(-1.0)
     assert bank._log_bc.grad[0] == pytest.approx(0.0)
+
+
+def _random_bank(rng, n):
+    a = rng.uniform(-0.2, 0.6, n)
+    b = a + rng.uniform(1e-3, 0.4, n)
+    return MembershipBank("triangular", n, np.stack(
+        [a, b, b + rng.uniform(1e-3, 0.4, n)], axis=1))
+
+
+def _composed_eval(bank, p):
+    """`membership_eval` of a triangular bank with the node replaced by
+    the composed ops it fuses."""
+    pv = np.asarray(p, dtype=np.float64)
+    extra = (1,) * pv.ndim
+    a, b, c = (ad.reshape(t, (bank.n,) + extra) for t in bank.abc())
+    return triangular_membership_composed(pv[None, ...], a, b, c)
+
+
+def _degrees_and_grads(evaluate, bank, p, seed, axes=None):
+    """The degrees of `p` and the gradients of memb_a, memb_log_ab and
+    memb_log_bc after backward of sum(seed * degrees), the degrees first
+    transposed by `axes` as `fuzzy_encode` does, so that their gradient
+    arrives as a strided view."""
+    for t in bank.parameters():
+        t.grad = None
+    mu = evaluate(bank, p)
+    out = mu if axes is None else ad.transpose(mu, axes)
+    ad.tsum(out * seed).backward()
+    return [mu.value] + [t.grad for t in bank.parameters()]
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3, 4)])
+@pytest.mark.parametrize("points", ["random", "vertices"])
+def test_membership_node_is_bitwise_the_composed_ops(shape, points):
+    # on the vertices a (degree 0, no gradient), b (up == down, the tie
+    # goes to the rising edge) and c (degree 0 on the falling edge) every
+    # kink of the composed graph is crossed
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        bank = _random_bank(rng, 4)
+        assert [t.name for t in bank.parameters()] == [
+            "memb_a", "memb_log_ab", "memb_log_bc"]
+        a, b, c = (t.value for t in bank.abc())
+        if points == "random":
+            p = rng.random(shape)
+        else:                           # the peaks first: a scalar is a tie
+            vertices = np.concatenate([b, a, c])
+            p = np.resize(vertices[(vertices >= 0) & (vertices <= 1)], shape)
+            assert np.isin(p, b).any()
+        axes = (1, 0, 2, 3) if len(shape) == 3 else None
+        g = rng.standard_normal((4,) + shape)
+        g = g if axes is None else g.transpose(axes)
+        fused = _degrees_and_grads(membership_eval, bank, p, g, axes)
+        ref = _degrees_and_grads(_composed_eval, bank, p, g, axes)
+        for got, want in zip(fused, ref):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_membership_node_under_no_grad_is_a_constant():
+    bank = MembershipBank("triangular", 3)
+    p = np.random.default_rng(0).random((2, 5))
+    ref = membership_eval(bank, p)
+    with ad.no_grad():
+        mu = membership_eval(bank, p)
+    assert mu.constant and mu.parents == () and mu._backward is None
+    assert mu.value.tobytes() == ref.value.tobytes()
+
+
+def test_membership_node_keeps_a_copy_of_the_points_and_no_other_full_array():
+    # perfbench's graph_size counts the arrays held in a rule's own closure
+    # cells, so the node keeps them there: a copy of the points, which the
+    # caller may then overwrite, and the three (N, 1, ...) bank values
+    rng = np.random.default_rng(3)
+    bank = MembershipBank("triangular", 3)
+    p = rng.random((4, 5, 6))
+    seed = rng.standard_normal((3,) + p.shape)
+    want = _degrees_and_grads(membership_eval, bank, p.copy(), seed)
+    for t in bank.parameters():
+        t.grad = None
+    mu = membership_eval(bank, p)
+    arrays = [cell.cell_contents for cell in mu._backward.__closure__
+              if isinstance(cell.cell_contents, np.ndarray)]
+    full = [v for v in arrays if v.size >= p.size]
+    assert len(full) == 1 and full[0].tobytes() == p.tobytes()
+    assert not np.shares_memory(full[0], p)
+    assert sorted(v.shape for v in arrays if v is not full[0]) == [
+        (3, 1, 1, 1)] * 3
+    p[...] = 0.5
+    ad.tsum(mu * seed).backward()
+    assert [t.grad.tobytes() for t in bank.parameters()] == [
+        w.tobytes() for w in want[1:]]
 
 
 def test_if_train_degree_one_fires_every_step():
